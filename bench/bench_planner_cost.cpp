@@ -64,7 +64,7 @@ Cell run_cell(const char* name, const bench::Workload& w, int threads,
   rec["cache_hits"] = plan.cache_hits;
   rec["recompute_rounds"] = plan.recompute_rounds;
   rec["predicted_time"] = plan.predicted_time;
-  g_records.push_back(obs::json::Value(std::move(rec)));
+  g_records.emplace_back(std::move(rec));
 
   return {plan.planning_wall_seconds, plan.simulations};
 }
@@ -106,7 +106,7 @@ void model_rows(const char* name, graph::Graph g,
     rec["cache_hits"] = ref.cache_hits;
     rec["recompute_rounds"] = ref.recompute_rounds;
     rec["predicted_time"] = ref.predicted_time;
-    g_records.push_back(obs::json::Value(std::move(rec)));
+    g_records.emplace_back(std::move(rec));
   }
 
   if (!ref.feasible) return;

@@ -1,6 +1,6 @@
 #include "kernels/conv.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -11,6 +11,8 @@
 namespace pooch::kernels {
 
 namespace {
+
+using detail::Operand;
 
 struct ConvGeom {
   std::int64_t batch = 0;
@@ -24,6 +26,9 @@ struct ConvGeom {
 
   std::int64_t in_sample_stride() const {
     return in_channels * in[0] * in[1] * in[2];
+  }
+  std::int64_t in_group_stride() const {
+    return cg * in[0] * in[1] * in[2];
   }
   std::int64_t out_sample_stride(std::int64_t out_channels) const {
     return out_channels * out[0] * out[1] * out[2];
@@ -71,6 +76,24 @@ ConvGeom make_geom(const Shape& x_shape, const ConvAttrs& a) {
   return g;
 }
 
+// Samples lowered into one column matrix: the fewest whose columns reach
+// kChunkCols, so the GEMM tile has work even where a sample has only a
+// handful of output pixels. The chunk's matrix is capped at kChunkFloats
+// (one sample always fits, however large). Chunks are balanced so the
+// last one is not a sliver.
+constexpr std::int64_t kChunkCols = 256;
+constexpr std::int64_t kChunkFloats = std::int64_t{1} << 18;  // 1 MiB
+
+std::int64_t chunk_samples(const ConvGeom& g) {
+  const std::int64_t pixels = g.col.cols();
+  const std::int64_t by_cols = (kChunkCols + pixels - 1) / pixels;
+  const std::int64_t by_floats = kChunkFloats / (g.col.rows() * pixels);
+  const std::int64_t cap =
+      std::max<std::int64_t>(1, std::min({by_cols, by_floats, g.batch}));
+  const std::int64_t chunks = (g.batch + cap - 1) / cap;
+  return chunks <= 1 ? cap : (g.batch + chunks - 1) / chunks;
+}
+
 }  // namespace
 
 Shape conv_output_shape(const Shape& input_shape, const ConvAttrs& attrs) {
@@ -104,75 +127,42 @@ void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
   POOCH_CHECK(w.shape() == conv_weight_shape(x.shape(), attrs));
   POOCH_CHECK(!attrs.has_bias || (bias && bias->numel() == attrs.out_channels));
 
-  const std::int64_t col_rows = g.col.rows();
-  const std::int64_t col_cols = g.col.cols();
-  const std::size_t col_floats = static_cast<std::size_t>(col_rows * col_cols);
-
-  const std::int64_t w_group_stride = g.og * col_rows;
-  const std::int64_t in_group_stride = g.cg * g.in[0] * g.in[1] * g.in[2];
-  const std::int64_t out_group_stride = g.og * col_cols;
-
+  const std::int64_t rows = g.col.rows();
+  const std::int64_t pixels = g.col.cols();
+  const std::int64_t chunk = chunk_samples(g);
+  const std::int64_t out_stride = g.out_sample_stride(attrs.out_channels);
+  float* col = ctx.scratch(0, KernelContext::kColArena,
+                           static_cast<std::size_t>(rows * chunk * pixels));
   ThreadPool* pool = ctx.pool();
-  const std::int64_t tasks = g.batch * g.groups;
-  if (pool && tasks >= ctx.threads()) {
-    // Enough independent (sample, group) units to occupy every thread:
-    // run them concurrently, each with its own scratch slot. The GEMM is
-    // run serially inside the task (the pool is not reentrant) via
-    // gemm_rows, which is the exact same code path the row-parallel
-    // schedule uses — output is bit-identical either way.
-    const std::size_t gemm_floats = detail::gemm_scratch_floats();
-    parallel_for(pool, tasks, 1,
-                 [&](std::int64_t t0, std::int64_t t1, int slot) {
-                   float* col = ctx.scratch(slot, KernelContext::kColArena,
-                                            col_floats);
-                   float* gemm_scratch = ctx.scratch(
-                       slot, KernelContext::kGemmArena, gemm_floats);
-                   for (std::int64_t t = t0; t < t1; ++t) {
-                     const std::int64_t n = t / g.groups;
-                     const std::int64_t grp = t % g.groups;
-                     const float* xin = x.data() + n * g.in_sample_stride();
-                     float* yout =
-                         y.data() + n * g.out_sample_stride(attrs.out_channels);
-                     im2col(xin + grp * in_group_stride, col, g.col);
-                     detail::GemmShape gs;
-                     gs.a = w.data() + grp * w_group_stride;
-                     gs.b = col;
-                     gs.c = yout + grp * out_group_stride;
-                     gs.m = g.og;
-                     gs.k = col_rows;
-                     gs.n = col_cols;
-                     detail::gemm_rows(gs, 0, g.og, gemm_scratch);
-                     if (attrs.has_bias) {
-                       for (std::int64_t o = grp * g.og; o < (grp + 1) * g.og;
-                            ++o) {
-                         const float b = (*bias)[o];
-                         float* row = yout + o * col_cols;
-                         for (std::int64_t j = 0; j < col_cols; ++j) {
-                           row[j] += b;
-                         }
-                       }
-                     }
+
+  for (std::int64_t n0 = 0; n0 < g.batch; n0 += chunk) {
+    const std::int64_t cn = std::min(chunk, g.batch - n0);
+    for (std::int64_t grp = 0; grp < g.groups; ++grp) {
+      im2col(x.data() + n0 * g.in_sample_stride() + grp * g.in_group_stride(),
+             col, g.col, pool, cn, g.in_sample_stride());
+      // Y_g (og, cn*pixels) = W_g * col, written in place into NCHW.
+      detail::gemm({.a = w.data() + grp * g.og * rows,
+                    .b = col,
+                    .c = y.data() + n0 * out_stride + grp * g.og * pixels,
+                    .m = g.og,
+                    .k = rows,
+                    .n = cn * pixels,
+                    .la = Operand::plain(rows),
+                    .lb = Operand::plain(cn * pixels),
+                    .lc = Operand::segmented(pixels, out_stride)},
+                   ctx);
+    }
+  }
+  if (attrs.has_bias) {
+    // Rows of y are (sample, channel) planes.
+    parallel_for(pool, g.batch * attrs.out_channels, 16,
+                 [&](std::int64_t r0, std::int64_t r1, int) {
+                   for (std::int64_t r = r0; r < r1; ++r) {
+                     const float b = (*bias)[r % attrs.out_channels];
+                     float* row = y.data() + r * pixels;
+                     for (std::int64_t j = 0; j < pixels; ++j) row[j] += b;
                    }
                  });
-    return;
-  }
-
-  float* col = ctx.scratch(0, KernelContext::kColArena, col_floats);
-  for (std::int64_t n = 0; n < g.batch; ++n) {
-    const float* xin = x.data() + n * g.in_sample_stride();
-    float* yout = y.data() + n * g.out_sample_stride(attrs.out_channels);
-    for (std::int64_t grp = 0; grp < g.groups; ++grp) {
-      im2col(xin + grp * in_group_stride, col, g.col, pool);
-      matmul(w.data() + grp * w_group_stride, col,
-             yout + grp * out_group_stride, g.og, col_rows, col_cols, ctx);
-    }
-    if (attrs.has_bias) {
-      for (std::int64_t o = 0; o < attrs.out_channels; ++o) {
-        const float b = (*bias)[o];
-        float* row = yout + o * col_cols;
-        for (std::int64_t j = 0; j < col_cols; ++j) row[j] += b;
-      }
-    }
   }
 }
 
@@ -185,57 +175,80 @@ void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
   POOCH_CHECK(dw.shape() == conv_weight_shape(x.shape(), attrs));
   if (dx) POOCH_CHECK(dx->shape() == x.shape());
 
-  const std::int64_t col_rows = g.col.rows();
-  const std::int64_t col_cols = g.col.cols();
-  const std::size_t col_floats = static_cast<std::size_t>(col_rows * col_cols);
-  // col and (when dx is wanted) col_grad carved from one arena buffer.
+  const std::int64_t rows = g.col.rows();
+  const std::int64_t pixels = g.col.cols();
+  const std::int64_t chunk = chunk_samples(g);
+  const std::int64_t out_stride = g.out_sample_stride(attrs.out_channels);
+  // One buffer holds the chunk's columns for dW, then its column
+  // gradient for dX.
   float* col = ctx.scratch(0, KernelContext::kColArena,
-                           (dx ? 2 : 1) * col_floats);
-  float* col_grad = dx ? col + col_floats : nullptr;
+                           static_cast<std::size_t>(rows * chunk * pixels));
+  ThreadPool* pool = ctx.pool();
 
   dw.zero();
   if (dx) dx->zero();
-  if (attrs.has_bias && dbias) dbias->zero();
 
-  const std::int64_t w_group_stride = g.og * col_rows;
-  const std::int64_t in_group_stride = g.cg * g.in[0] * g.in[1] * g.in[2];
-  const std::int64_t out_group_stride = g.og * col_cols;
-
-  ThreadPool* pool = ctx.pool();
-  for (std::int64_t n = 0; n < g.batch; ++n) {
-    const float* xin = x.data() + n * g.in_sample_stride();
-    const float* dyout = dy.data() + n * g.out_sample_stride(attrs.out_channels);
+  for (std::int64_t n0 = 0; n0 < g.batch; n0 += chunk) {
+    const std::int64_t cn = std::min(chunk, g.batch - n0);
+    const std::int64_t cols = cn * pixels;
+    const float* dy0 = dy.data() + n0 * out_stride;
+    const Operand dy_chunk = Operand::segmented(pixels, out_stride);
     for (std::int64_t grp = 0; grp < g.groups; ++grp) {
-      // dW += dY_g (og, cols) * col^T (cols, rows)
-      im2col(xin + grp * in_group_stride, col, g.col, pool);
-      matmul_bt_acc(dyout + grp * out_group_stride, col,
-                    dw.data() + grp * w_group_stride, g.og, col_cols, col_rows,
-                    ctx);
+      const std::int64_t in_off =
+          n0 * g.in_sample_stride() + grp * g.in_group_stride();
+      im2col(x.data() + in_off, col, g.col, pool, cn, g.in_sample_stride());
+      // dW_g (og, rows) += dY_g (og, cols) * col^T (cols, rows). Each dW
+      // element's k-chain runs sample-major over the chunk's columns:
+      // exactly the per-sample matmul_bt_acc sequence of the reference.
+      detail::gemm({.a = dy0 + grp * g.og * pixels,
+                    .b = col,
+                    .c = dw.data() + grp * g.og * rows,
+                    .m = g.og,
+                    .k = cols,
+                    .n = rows,
+                    .la = dy_chunk,
+                    .lb = Operand::transposed(cols),
+                    .lc = Operand::plain(rows),
+                    .overwrite = false},
+                   ctx);
       if (dx) {
-        // col_grad (rows, cols) = W_g^T (rows, og) * dY_g (og, cols)
-        matmul_at(w.data() + grp * w_group_stride,
-                  dyout + grp * out_group_stride, col_grad, col_rows, g.og,
-                  col_cols, ctx);
-        col2im(col_grad, dx->data() + n * g.in_sample_stride() +
-                             grp * in_group_stride,
-               g.col, pool);
+        // col_grad (rows, cols) = W_g^T (rows, og) * dY_g (og, cols),
+        // overwriting the columns dW no longer needs.
+        detail::gemm({.a = w.data() + grp * g.og * rows,
+                      .b = dy0 + grp * g.og * pixels,
+                      .c = col,
+                      .m = rows,
+                      .k = g.og,
+                      .n = cols,
+                      .la = Operand::transposed(rows),
+                      .lb = dy_chunk,
+                      .lc = Operand::plain(cols)},
+                     ctx);
+        col2im(col, dx->data() + in_off, g.col, pool, cn,
+               g.in_sample_stride());
       }
     }
-    if (attrs.has_bias && dbias) {
-      // Output channels are independent; within one the batch loop is
-      // the sequential outer loop, so accumulation order matches ref.
-      parallel_for(pool, attrs.out_channels, 4,
-                   [&](std::int64_t o0, std::int64_t o1, int) {
-                     for (std::int64_t o = o0; o < o1; ++o) {
-                       const float* row = dyout + o * col_cols;
+  }
+
+  if (attrs.has_bias && dbias) {
+    // Output channels are independent; within one the batch loop is
+    // the sequential outer loop, so accumulation order matches ref.
+    parallel_for(pool, attrs.out_channels, 4,
+                 [&](std::int64_t o0, std::int64_t o1, int) {
+                   for (std::int64_t o = o0; o < o1; ++o) {
+                     float total = 0.0f;
+                     for (std::int64_t n = 0; n < g.batch; ++n) {
+                       const float* row =
+                           dy.data() + n * out_stride + o * pixels;
                        float acc = 0.0f;
-                       for (std::int64_t j = 0; j < col_cols; ++j) {
+                       for (std::int64_t j = 0; j < pixels; ++j) {
                          acc += row[j];
                        }
-                       (*dbias)[o] += acc;
+                       total += acc;
                      }
-                   });
-    }
+                     (*dbias)[o] = total;
+                   }
+                 });
   }
 }
 

@@ -1,5 +1,6 @@
 // Grouped N-dimensional convolution (2-D and 3-D), forward and backward,
-// implemented with im2col + matmul per sample and group.
+// implemented by lowering a chunk of samples with im2col and running one
+// blocked GEMM per (chunk, group).
 //
 // Layouts:
 //   2-D: x (N,C,H,W),   w (O, C/g, Kh, Kw),     y (N,O,outH,outW)
@@ -19,23 +20,31 @@ Shape conv_output_shape(const Shape& input_shape, const ConvAttrs& attrs);
 /// Shape of the weight tensor for `input_shape` under `attrs`.
 Shape conv_weight_shape(const Shape& input_shape, const ConvAttrs& attrs);
 
-/// Scratch bytes (the im2col column buffer) the kernels allocate per call;
-/// the cost model charges this as cuDNN-style workspace.
+/// Workspace bytes the cost model charges a conv (cuDNN-style): one
+/// sample's im2col column matrix. The CPU kernels below hold one column
+/// matrix per call, for a chunk of samples: at most max(1 MiB, this).
 std::size_t conv_workspace_bytes(const Shape& input_shape,
                                  const ConvAttrs& attrs);
 
-/// Forward = im2col + blocked GEMM per (sample, group). With a pooled
-/// context, independent (sample, group) tasks run concurrently when there
-/// are at least as many as threads (each on its own scratch slot);
-/// otherwise the inner im2col/matmul parallelize instead. Both schedules
-/// produce bit-identical output to conv_forward_ref.
+/// Forward, one schedule for every shape: the batch is cut into chunks,
+/// each the fewest samples whose output pixels reach ~256 GEMM columns
+/// (within the 1 MiB column-matrix cap). Per chunk and group, im2col
+/// lowers the chunk side by side into one (Cg*K, chunk*pixels) matrix and
+/// a single GEMM writes Y straight into the NCHW output. Threads split
+/// the im2col rows and the GEMM's output rows. Every output keeps the
+/// reference's k-chain, so the result is bit-identical to
+/// conv_forward_ref at any thread count.
 void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
                   Tensor& y, const ConvAttrs& attrs,
                   KernelContext& ctx = KernelContext::serial());
 
-/// dx may be null when the input needs no gradient (network input).
-/// Samples are processed in order (dw/dbias accumulate across the batch);
-/// parallelism lives inside the per-sample im2col/matmul/col2im calls.
+/// Backward on the same chunks: dW += dY * col^T reads dY in place and
+/// runs each dW element's chain sample-major over the chunk's columns,
+/// which is the reference's per-sample accumulation order; then (unless
+/// dx is null, for a network input) the column gradient W^T * dY
+/// overwrites the same buffer and col2im scatters it into dX. dbias sums
+/// per channel, samples in order. Bit-identical to conv_backward_ref at
+/// any thread count.
 void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
                    Tensor* dx, Tensor& dw, Tensor* dbias,
                    const ConvAttrs& attrs,

@@ -7,8 +7,8 @@
 //     (slot, arena), where `slot` is the parallel_for block index. A
 //     block only ever touches its own slot, so concurrent blocks never
 //     share workspace, and the buffers persist across kernel calls —
-//     the im2col column buffer and the GEMM packing panels are
-//     allocated once per thread slot and reused for the whole run.
+//     the conv column buffer (slot 0) and the GEMM packing panels (one
+//     per slot) are allocated once and reused for the whole run.
 //
 // Passing a context is optional: every kernel defaults to
 // KernelContext::serial(), a thread-local single-threaded context, so

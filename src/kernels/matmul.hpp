@@ -3,12 +3,14 @@
 // These are the innermost loops of the conv/fc kernels. All variants
 // funnel into one cache-blocked, packed-panel GEMM core (see matmul.cpp
 // and docs/KERNELS.md): B is packed into NR-wide column panels, A into
-// MR-tall row panels, and an MR x NR register micro-kernel the compiler
-// auto-vectorizes does the arithmetic. Parallelism (via the context's
-// thread pool) partitions only over rows of C — independent outputs — so
-// for every output element the k-dimension is accumulated in ascending
-// order exactly like the scalar *_ref oracles below: the fast kernels
-// are bit-identical to the references at any thread count.
+// MR-tall row panels, and an MR x NR register micro-kernel (explicit
+// AVX-512 when the build targets it, portable C++ otherwise) does the
+// arithmetic. Parallelism (via the context's thread pool) partitions
+// only over rows of C — independent outputs — so for every output
+// element the k-dimension is accumulated in ascending order, one
+// detail::madd per step, exactly like the scalar *_ref oracles below:
+// the fast kernels are bit-identical to the references at any thread
+// count and any optimization level.
 //
 // The *_ref functions are the original naive scalar loops, kept compiled
 // in as oracles for tests and as the baseline the kernel bench
@@ -60,28 +62,43 @@ void matmul_bt_acc_ref(const float* a, const float* b, float* c,
 
 namespace detail {
 
-/// Operand layout of the blocked GEMM core.
+/// Where a logical (rows x cols) GEMM operand's elements sit in memory.
+///   plain:       element (r, c) at r * ld + c
+///   transposed:  element (r, c) at c * ld + r  (stored cols x rows)
+///   segmented:   columns come in runs of `seg`; run q starts at
+///                q * seg_stride and element (r, c) sits at
+///                (c / seg) * seg_stride + r * ld + c % seg.
+/// A segmented operand is a chunk of NCHW samples read or written in
+/// place as one (channels x samples*pixels) matrix: seg = ld = pixels
+/// per sample, seg_stride = one sample's floats.
+struct Operand {
+  std::int64_t ld = 0;
+  bool trans = false;
+  std::int64_t seg = 0;  // 0: a single run
+  std::int64_t seg_stride = 0;
+
+  static Operand plain(std::int64_t ld) { return {ld, false, 0, 0}; }
+  static Operand transposed(std::int64_t ld) { return {ld, true, 0, 0}; }
+  static Operand segmented(std::int64_t seg, std::int64_t seg_stride) {
+    return {seg, false, seg, seg_stride};
+  }
+};
+
+/// C(m,n) = A(m,k) * B(k,n), or C += A * B when !overwrite. C must not
+/// be transposed.
 struct GemmShape {
   const float* a = nullptr;
   const float* b = nullptr;
   float* c = nullptr;
   std::int64_t m = 0, k = 0, n = 0;
-  bool a_trans = false;  // A stored (k,m) instead of (m,k)
-  bool b_trans = false;  // B stored (n,k) instead of (k,n)
-  bool overwrite = true; // C = A*B (beta=0 store path) vs C += A*B
+  Operand la, lb, lc;
+  bool overwrite = true;
 };
 
-/// Scratch floats one serial GEMM worker needs (packing panels); carve a
-/// region of at least this size out of a KernelContext slot when calling
-/// gemm_rows directly (the conv kernels do, to nest a serial GEMM inside
-/// a batch-parallel region without touching the pool).
-std::size_t gemm_scratch_floats();
-
-/// Run the blocked GEMM for output rows [r0, r1) only, using
-/// caller-provided packing scratch. Thread-safe across disjoint row
-/// ranges with distinct scratch.
-void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
-               float* scratch);
+/// Run the blocked GEMM on `ctx`, rows of C partitioned over its pool.
+/// Every C element gets the same ascending-k madd chain as the *_ref
+/// loops, so the result is bit-identical at any thread count.
+void gemm(const GemmShape& g, KernelContext& ctx);
 
 }  // namespace detail
 

@@ -6,7 +6,8 @@
 //
 // The shape corpus deliberately includes sizes off the GEMM tile grid
 // (odd m/k/n, single rows/columns), exact block boundaries, strided and
-// padded and grouped convolutions, and tensors straddling the
+// padded and grouped convolutions, batches that split into several
+// lowered sample chunks with a remainder, and tensors straddling the
 // elementwise grain — the places a blocked or partitioned implementation
 // would diverge from the naive loops if the partitioning were wrong.
 #include <gtest/gtest.h>
@@ -69,10 +70,19 @@ TEST_P(KernelBitIdentity, MatmulAllVariants) {
     std::int64_t m, k, n;
   };
   // Single elements, odd everything, exact micro/cache-tile multiples,
-  // block-boundary crossers, degenerate single-column output.
-  const Case cases[] = {{1, 1, 1},     {3, 7, 5},     {4, 16, 16},
-                        {5, 17, 33},   {64, 256, 240}, {67, 129, 241},
-                        {2, 300, 1}};
+  // block-boundary crossers, degenerate single-column output, and GEMMs
+  // big enough to fan out over threads (one of them a single column
+  // panel, whose full row panels read A in place).
+  std::vector<Case> cases = {{1, 1, 1},       {3, 7, 5},     {4, 16, 16},
+                             {5, 17, 33},     {64, 256, 240}, {67, 129, 241},
+                             {2, 300, 1},     {131, 600, 32}, {200, 257, 33}};
+  // On and around the 8 x 32 register tile, with k inside and across
+  // the 256-deep k block.
+  for (std::int64_t m : {8, 9, 15}) {
+    for (std::int64_t n : {31, 32, 33, 64}) {
+      for (std::int64_t k : {40, 257}) cases.push_back({m, k, n});
+    }
+  }
   std::uint64_t seed = 100;
   for (const Case& c : cases) {
     const std::string tag = "m" + std::to_string(c.m) + "k" +
@@ -118,15 +128,40 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
     ConvAttrs attrs;
     bool want_dx;
   };
+  // The batch is lowered in chunks of the fewest samples whose output
+  // pixels reach 256 GEMM columns, capped at 2^18 column-matrix floats,
+  // and balanced; the comments give each case's chunks.
   const Case cases[] = {
-      // batch*groups >= 8 threads: exercises the task-parallel schedule.
-      {"batch_par", Shape{8, 4, 9, 9}, ConvAttrs::conv2d(6, 3, 1, 1), true},
-      // batch 1: exercises the inner im2col/matmul-parallel schedule.
-      {"inner_par", Shape{1, 3, 13, 13}, ConvAttrs::conv2d(5, 3, 2, 1), true},
+      // 81 pixels: two chunks of 4, GEMM tiles straddling samples.
+      {"chunks_of_4", Shape{8, 4, 9, 9}, ConvAttrs::conv2d(6, 3, 1, 1), true},
+      // One sample of 49 pixels: a full and a ragged column tile.
+      {"single_sample", Shape{1, 3, 13, 13}, ConvAttrs::conv2d(5, 3, 2, 1),
+       true},
+      // 400 pixels: one sample per chunk, GEMM rows split over threads.
+      {"chunk_of_1", Shape{2, 16, 20, 20}, ConvAttrs::conv2d(32, 3, 1, 1),
+       true},
+      // 2x2 outputs, batch 67: chunks of 34 + 33.
+      {"out2x2_b67", Shape{67, 6, 4, 4}, ConvAttrs::conv2d(10, 3), true},
+      // 1x1 outputs of a 4608-row column matrix: the float cap allows 56
+      // samples, so batch 67 runs as 34 + 33.
+      {"out1x1_b67", Shape{67, 512, 3, 3}, ConvAttrs::conv2d(24, 3), true},
+      // ResNet-style stride-2 1x1 downsampling, no bias: 5 samples of 16
+      // pixels in one chunk.
+      {"down1x1_s2", Shape{5, 16, 8, 8},
+       ConvAttrs::conv2d(32, 1, 2, 0, 1, /*bias=*/false), true},
       {"grouped", Shape{2, 4, 8, 8}, ConvAttrs::conv2d(4, 3, 1, 1, 2), true},
+      // 4 groups of 3 output channels over one 12-sample chunk.
+      {"grouped_chunked", Shape{12, 8, 5, 5},
+       ConvAttrs::conv2d(12, 3, 1, 0, 4), true},
       {"no_bias_nodx", Shape{2, 3, 7, 7},
        ConvAttrs::conv2d(4, 2, 2, 0, 1, /*bias=*/false), false},
+      // No input gradient over two chunks of 20.
+      {"nodx_chunked", Shape{40, 4, 6, 6}, ConvAttrs::conv2d(8, 3, 2, 1),
+       false},
       {"conv3d", Shape{2, 2, 5, 5, 5}, ConvAttrs::conv3d(3, 3, 1, 1), true},
+      // 2x2x2 outputs: 6 samples in one chunk.
+      {"conv3d_chunked", Shape{6, 3, 4, 4, 4}, ConvAttrs::conv3d(5, 3, 2, 1),
+       true},
   };
   std::uint64_t seed = 500;
   for (const Case& c : cases) {

@@ -1,8 +1,7 @@
 // pooch — command-line front end for the library.
 //
 //   pooch --model resnet50 --batch 512 --machine x86 --method pooch
-//   pooch --model resnext3d --frames 96 --image 384 --machine power9 \
-//         --method all --timeline
+//   pooch --model resnext3d --frames 96 --image 384 --machine power9 --method all
 //   pooch --model vgg16 --batch 320 --gpu-gb 24 --link-gbps 32 --method all
 //
 // Prints the run outcome (throughput, peak memory, stalls), optionally the
@@ -662,7 +661,7 @@ int main(int argc, char** argv) {
     ctx.runtime = std::make_unique<sim::Runtime>(ctx.g, ctx.tape, ctx.machine,
                                                  *ctx.hardware);
 
-    std::printf("%s, batch %ld, %s (%.0f GB GPU, %.0f GB/s link)\n",
+    std::printf("%s, batch %ld, %s (%g GB GPU, %.0f GB/s link)\n",
                 o.model.c_str(), static_cast<long>(o.batch),
                 ctx.machine.name.c_str(),
                 bytes_to_gib(ctx.machine.gpu_capacity_bytes),
