@@ -130,20 +130,11 @@ void pack_a(const GemmShape& g, std::int64_t i0, std::int64_t mc,
   }
 }
 
-// Where the micro-kernel reads its MR rows of A: element (ir, p) at
-// a[ir * rs + p * cs]. Packed panels are (1, MR); a single column panel
-// reads A in place (see gemm_rows), with the operand's own strides.
-struct APanel {
-  const float* a;
-  std::int64_t rs, cs;
-};
-
 // The MR x NR micro-kernel: C(0:mr, 0:nr) (+)= A * Bp over kc steps.
 // Each accumulator starts from C (or zero) and takes one fused
 // multiply-add per p in ascending order, the madd chain of the scalar
 // references. Edge tiles (mr < MR, nr < NR) run the same arithmetic on
-// zero-padded panels and only touch the valid part of C. kPacked fixes
-// A's strides at compile time for the common packed case.
+// zero-padded panels and only touch the valid part of C.
 #if defined(__AVX512F__)
 
 __mmask16 lane_mask(std::int64_t lanes) {
@@ -152,13 +143,9 @@ __mmask16 lane_mask(std::int64_t lanes) {
   return static_cast<__mmask16>((1u << lanes) - 1u);
 }
 
-template <bool kPacked>
-void micro_tile(APanel ap, const float* bp, std::int64_t kc, float* c,
+void micro_tile(const float* ap, const float* bp, std::int64_t kc, float* c,
                 std::int64_t ldc, std::int64_t mr, std::int64_t nr,
                 bool zero_init) {
-  const std::int64_t rs = kPacked ? 1 : ap.rs;
-  const std::int64_t cs = kPacked ? kMR : ap.cs;
-  const float* a = ap.a;
   const __mmask16 m0 = lane_mask(nr);
   const __mmask16 m1 = lane_mask(nr - 16);
   __m512 lo[kMR], hi[kMR];
@@ -176,11 +163,11 @@ void micro_tile(APanel ap, const float* bp, std::int64_t kc, float* c,
     const __m512 b1 = _mm512_loadu_ps(bp + 16);
 #pragma GCC unroll 8
     for (int i = 0; i < kMR; ++i) {
-      const __m512 av = _mm512_set1_ps(a[i * rs]);
+      const __m512 av = _mm512_set1_ps(ap[i]);
       lo[i] = _mm512_fmadd_ps(av, b0, lo[i]);
       hi[i] = _mm512_fmadd_ps(av, b1, hi[i]);
     }
-    a += cs;
+    ap += kMR;
     bp += kNR;
   }
 #pragma GCC unroll 8
@@ -194,12 +181,9 @@ void micro_tile(APanel ap, const float* bp, std::int64_t kc, float* c,
 
 #else  // portable fallback
 
-template <bool kPacked>
-void micro_tile(APanel ap, const float* bp, std::int64_t kc, float* c,
+void micro_tile(const float* ap, const float* bp, std::int64_t kc, float* c,
                 std::int64_t ldc, std::int64_t mr, std::int64_t nr,
                 bool zero_init) {
-  const std::int64_t rs = kPacked ? 1 : ap.rs;
-  const std::int64_t cs = kPacked ? kMR : ap.cs;
   float acc[kMR][kNR];
   for (std::int64_t ir = 0; ir < kMR; ++ir) {
     for (std::int64_t jr = 0; jr < kNR; ++jr) {
@@ -209,9 +193,9 @@ void micro_tile(APanel ap, const float* bp, std::int64_t kc, float* c,
   }
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* brow = bp + p * kNR;
-    const float* acol = ap.a + p * cs;
+    const float* acol = ap + p * kMR;
     for (std::int64_t ir = 0; ir < kMR; ++ir) {
-      const float av = acol[ir * rs];
+      const float av = acol[ir];
       for (std::int64_t jr = 0; jr < kNR; ++jr) {
         acc[ir][jr] = madd(av, brow[jr], acc[ir][jr]);
       }
@@ -275,13 +259,8 @@ void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
                float* scratch) {
   float* bp = scratch;
   float* ap = scratch + std::min(g.k, kKC) * round_up(std::min(g.n, kNC), kNR);
-  const Operand& la = g.la;
   for (std::int64_t jc = 0; jc < g.n; jc += kNC) {
     const std::int64_t nc = std::min(kNC, g.n - jc);
-    // A column block this narrow uses each A panel once: packing it would
-    // cost as much as the arithmetic, so full MR-row panels read A in
-    // place. Segmented A and ragged last panels are always packed.
-    const bool in_place = nc <= kNR && la.seg == 0;
     for (std::int64_t pc = 0; pc < g.k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, g.k - pc);
       pack_b(g, pc, kc, jc, nc, bp);
@@ -291,31 +270,18 @@ void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
       const bool zero_init = g.overwrite && pc == 0;
       for (std::int64_t ic = r0; ic < r1; ic += kMC) {
         const std::int64_t mc = std::min(kMC, r1 - ic);
-        const std::int64_t full = in_place ? mc / kMR * kMR : 0;
-        if (full < mc) pack_a(g, ic + full, mc - full, pc, kc, ap + full * kc);
+        pack_a(g, ic, mc, pc, kc, ap);
         for (std::int64_t jb = 0; jb * kNR < nc; ++jb) {
           const std::int64_t nr = std::min(kNR, nc - jb * kNR);
           const float* bpanel = bp + jb * kc * kNR;
           for (std::int64_t ib = 0; ib * kMR < mc; ++ib) {
-            const std::int64_t i = ic + ib * kMR;
             const std::int64_t mr = std::min(kMR, mc - ib * kMR);
-            if (ib * kMR < full) {
-              const APanel a =
-                  la.trans ? APanel{g.a + pc * la.ld + i, 1, la.ld}
-                           : APanel{g.a + i * la.ld + pc, la.ld, 1};
-              c_tile(g, i, jc + jb * kNR, mr, nr, zero_init,
-                     [&](float* c, std::int64_t ldc) {
-                       micro_tile<false>(a, bpanel, kc, c, ldc, mr, nr,
-                                         zero_init);
-                     });
-            } else {
-              const APanel a{ap + ib * kc * kMR, 1, kMR};
-              c_tile(g, i, jc + jb * kNR, mr, nr, zero_init,
-                     [&](float* c, std::int64_t ldc) {
-                       micro_tile<true>(a, bpanel, kc, c, ldc, mr, nr,
-                                        zero_init);
-                     });
-            }
+            const float* apanel = ap + ib * kc * kMR;
+            c_tile(g, ic + ib * kMR, jc + jb * kNR, mr, nr, zero_init,
+                   [&](float* c, std::int64_t ldc) {
+                     micro_tile(apanel, bpanel, kc, c, ldc, mr, nr,
+                                zero_init);
+                   });
           }
         }
       }
