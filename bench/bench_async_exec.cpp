@@ -100,19 +100,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 void check_reference(const Workload& w, const sim::DataBackend& got,
                      const char* what) {
-  // Capacity does not affect numerics, so an in-core reference on a
-  // roomy machine is always available.
-  cost::MachineConfig roomy = cost::x86_pcie();
-  sim::CostTimeModel tm(w.g, roomy);
-  sim::Runtime rt(w.g, w.tape, roomy, tm);
   sim::DataBackend ref(w.g, kSeed);
-  sim::RunOptions ro;
-  ro.data = &ref;
-  const auto r =
-      rt.run(sim::Classification(w.g, sim::ValueClass::kKeep), ro);
+  sim::train_incore(w.g, w.tape, ref, 0, 1);
   const float a = got.loss();
   const float b = ref.loss();
-  if (!r.ok || std::memcmp(&a, &b, sizeof(float)) != 0 ||
+  if (std::memcmp(&a, &b, sizeof(float)) != 0 ||
       got.param_norm() != ref.param_norm()) {
     std::fprintf(stderr, "%s %s: NOT bit-identical to in-core reference\n",
                  w.name.c_str(), what);
@@ -120,8 +112,8 @@ void check_reference(const Workload& w, const sim::DataBackend& got,
   }
 }
 
-/// Best-of-`reps` wall time for one inline iteration (runtime drives the
-/// backend, swaps execute on the compute thread).
+/// Best-of-`reps` wall time for one inline iteration (the schedule, then
+/// its serial replay: swaps execute on the compute thread).
 double time_inline(const Workload& w, const sim::Classification& c,
                    int reps, std::size_t* swapped) {
   double best = 1e300;

@@ -78,18 +78,10 @@ int main() {
     std::printf("  iter %d: loss %.4f\n", i, ooc_backend.loss());
   }
 
-  // 5. The same 5 iterations in-core on an unconstrained device — and on
-  // a single thread — must produce bit-identical numbers.
-  const auto big = cost::test_machine(4096);
-  const sim::CostTimeModel big_hw(g, big);
-  const sim::Runtime big_rt(g, tape, big, big_hw);
+  // 5. The same 5 iterations as plain in-core training — no scheduler,
+  // no swapping, a single thread — must produce bit-identical numbers.
   sim::DataBackend ref_backend(g, /*seed=*/42, /*learning_rate=*/0.05f);
-  sim::RunOptions ref_ro;
-  ref_ro.data = &ref_backend;
-  for (int i = 0; i < 5; ++i) {
-    ref_ro.iteration = static_cast<std::uint64_t>(i);
-    big_rt.run(sim::Classification(g, sim::ValueClass::kKeep), ref_ro);
-  }
+  sim::train_incore(g, tape, ref_backend, 0, 5);
   const bool identical = ooc_backend.loss() == ref_backend.loss() &&
                          ooc_backend.param_norm() == ref_backend.param_norm();
   std::printf("\nout-of-core vs in-core after 5 iterations: %s\n",

@@ -104,47 +104,25 @@ struct RunState {
     aborted.store(true, std::memory_order_release);
   }
 
+  /// The op itself is DataBackend::apply; around it the executor keeps
+  /// only its own bookkeeping: staging slots and host swap space.
   void execute(const StreamOp& op) {
-    switch (op.type) {
-      case OpType::kBeginIteration:
-        data.begin_iteration();
-        break;
-      case OpType::kForward:
-      case OpType::kRecompute:
-        data.forward(op.node, stream.iteration);
-        break;
-      case OpType::kBackward:
-        data.backward(op.node, stream.iteration);
-        break;
-      case OpType::kUpdate:
-        data.update();
-        break;
-      case OpType::kSwapOut: {
-        // Double-buffered retirement: at most `staging_slots` swap-outs
-        // may be moving through the bounce buffers at once.
-        const int slot = staging.acquire();
-        if (opts.host_pool && !opts.host_pool->reserve(op.bytes)) {
-          staging.release(slot);
-          throw Error("async exec: host pool exhausted swapping out v" +
-                      std::to_string(op.value));
-        }
-        data.swap_out(op.value);
-        data.free_value(op.value);
+    if (op.type == OpType::kSwapOut) {
+      // Double-buffered retirement: at most `staging_slots` swap-outs
+      // may be moving through the bounce buffers at once.
+      const int slot = staging.acquire();
+      if (opts.host_pool && !opts.host_pool->reserve(op.bytes)) {
         staging.release(slot);
-        break;
+        throw Error("async exec: host pool exhausted swapping out v" +
+                    std::to_string(op.value));
       }
-      case OpType::kSwapIn:
-        data.swap_in(op.value);
-        break;
-      case OpType::kFreeValue:
-        data.free_value(op.value);
-        if (opts.host_pool && op.releases_host) {
-          opts.host_pool->release(op.bytes);
-        }
-        break;
-      case OpType::kFreeGrad:
-        data.free_grad(op.value);
-        break;
+      data.apply(op, stream.iteration);
+      staging.release(slot);
+      return;
+    }
+    data.apply(op, stream.iteration);
+    if (op.type == OpType::kFreeValue && opts.host_pool && op.releases_host) {
+      opts.host_pool->release(op.bytes);
     }
   }
 
@@ -325,28 +303,7 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
     result.lane_wait[lane] += span.wait;
 
     sim::OpKind kind;
-    switch (op.type) {
-      case OpType::kForward:
-        kind = sim::OpKind::kForward;
-        break;
-      case OpType::kBackward:
-        kind = sim::OpKind::kBackward;
-        break;
-      case OpType::kRecompute:
-        kind = sim::OpKind::kRecompute;
-        break;
-      case OpType::kUpdate:
-        kind = sim::OpKind::kUpdate;
-        break;
-      case OpType::kSwapOut:
-        kind = sim::OpKind::kSwapOut;
-        break;
-      case OpType::kSwapIn:
-        kind = sim::OpKind::kSwapIn;
-        break;
-      default:
-        continue;  // begin/frees are bookkeeping, not timeline ops
-    }
+    if (!timeline_kind(op.type, kind)) continue;
     sim::OpRecord r;
     r.kind = kind;
     r.node = op.node;

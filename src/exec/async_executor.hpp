@@ -1,5 +1,7 @@
 // AsyncExecutor: real wall-clock overlapped execution of an exported
-// op stream against a sim::DataBackend.
+// op stream against a sim::DataBackend. Each op runs through
+// DataBackend::apply, the same mapping the serial replay uses; the
+// executor adds only dispatch, staging and host-pool bookkeeping.
 //
 // Threading model (a dependency-counted multi-worker scheduler):
 //   - `compute_workers` threads (the calling thread plus N-1 helpers)
@@ -132,7 +134,7 @@ class AsyncExecutor {
 
   /// Execute the stream against `data`. The backend must be freshly
   /// seeded (or carried over from the previous iteration's run) exactly
-  /// as it would be for a serial Runtime::run with the same schedule.
+  /// as it would be for a serial replay of the same stream.
   /// Reusable: each call replays the same stream.
   AsyncResult run(sim::DataBackend& data,
                   const AsyncOptions& options = {}) const;

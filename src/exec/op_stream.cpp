@@ -42,6 +42,18 @@ const char* op_type_name(OpType type) {
   return "?";
 }
 
+bool timeline_kind(OpType type, sim::OpKind& kind) {
+  switch (type) {
+    case OpType::kForward: kind = sim::OpKind::kForward; return true;
+    case OpType::kBackward: kind = sim::OpKind::kBackward; return true;
+    case OpType::kRecompute: kind = sim::OpKind::kRecompute; return true;
+    case OpType::kUpdate: kind = sim::OpKind::kUpdate; return true;
+    case OpType::kSwapOut: kind = sim::OpKind::kSwapOut; return true;
+    case OpType::kSwapIn: kind = sim::OpKind::kSwapIn; return true;
+    default: return false;
+  }
+}
+
 int OpStream::count(OpType type) const {
   return static_cast<int>(
       std::count_if(ops.begin(), ops.end(),

@@ -1,12 +1,16 @@
-// Replayable op stream: the schedule the simulator executed, exported as
-// a dependency graph the AsyncExecutor can run with real threads.
+// Replayable op stream: the schedule the simulator decided, exported as
+// a dependency graph. It is the one thing that executes: the simulator
+// runs no kernels, and every real execution applies these ops to a
+// `sim::DataBackend` through `DataBackend::apply` — serially in index
+// order (`sim::RunOptions::data`) or with real threads
+// (exec::AsyncExecutor).
 //
 // When `sim::RunOptions::export_stream` is set, the runtime emits one
-// StreamOp at every point where it would drive a `sim::DataBackend`
-// call: forward/backward/recompute/update on the compute lane, swap-outs
-// on the D2H lane, swap-ins on the H2D lane, and the frees that retire
-// feature maps and gradients. Ops are emitted in the simulator's program
-// order, so the stream's index order is simultaneously
+// StreamOp per scheduled action: forward/backward/recompute/update on the
+// compute lane, swap-outs on the D2H lane, swap-ins on the H2D lane, and
+// the frees that retire feature maps and gradients. Ops are emitted in
+// the simulator's program order, so the stream's index order is
+// simultaneously
 //   (a) a topological order of the dependency edges (every dep index is
 //       smaller than the op that carries it), and
 //   (b) per lane, the simulated start-time order (the runtime's stream
@@ -36,6 +40,7 @@
 
 #include "graph/autodiff.hpp"
 #include "graph/graph.hpp"
+#include "sim/timeline.hpp"
 
 namespace pooch::exec {
 
@@ -45,7 +50,7 @@ enum class OpType : std::uint8_t {
   kBackward,        // backward step of `node` (reads its tape `needed` set)
   kRecompute,       // re-run forward of `node` to rematerialize `value`
   kUpdate,          // SGD parameter update
-  kSwapOut,         // move `value` device->host, then free the device copy
+  kSwapOut,         // move `value` device->host (retires the device copy)
   kSwapIn,          // deep-copy `value` host->device
   kFreeValue,       // drop the device copy of `value`
   kFreeGrad,        // drop the gradient slot of `value`
@@ -57,6 +62,9 @@ inline constexpr int kNumLanes = 3;
 
 Lane lane_of(OpType type);
 const char* op_type_name(OpType type);
+/// The timeline kind an op is drawn as; false for begin-iteration and
+/// frees, which are bookkeeping, not timeline ops.
+bool timeline_kind(OpType type, sim::OpKind& kind);
 
 struct StreamOp {
   OpType type{};

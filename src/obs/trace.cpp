@@ -234,18 +234,6 @@ namespace {
 /// contiguous, lanes are spaced out so new workers never collide.
 int worker_tid(int lane, int worker) { return lane * 100 + worker; }
 
-bool replay_kind(exec::OpType type, OpKind& kind) {
-  switch (type) {
-    case exec::OpType::kForward: kind = OpKind::kForward; return true;
-    case exec::OpType::kBackward: kind = OpKind::kBackward; return true;
-    case exec::OpType::kRecompute: kind = OpKind::kRecompute; return true;
-    case exec::OpType::kUpdate: kind = OpKind::kUpdate; return true;
-    case exec::OpType::kSwapOut: kind = OpKind::kSwapOut; return true;
-    case exec::OpType::kSwapIn: kind = OpKind::kSwapIn; return true;
-    default: return false;  // begin/frees are bookkeeping
-  }
-}
-
 }  // namespace
 
 json::Value async_chrome_trace(const Graph& graph,
@@ -283,7 +271,7 @@ json::Value async_chrome_trace(const Graph& graph,
     const exec::StreamOp& op = stream.ops[i];
     const exec::OpSpan& span = spans[i];
     OpKind kind;
-    if (!replay_kind(op.type, kind)) continue;
+    if (!exec::timeline_kind(op.type, kind)) continue;
     OpRecord rec;
     rec.kind = kind;
     rec.node = op.node;

@@ -54,10 +54,12 @@ PipelineResult run_pooch(const graph::Graph& graph,
                          const sim::TimeModel& ground_truth,
                          const PipelineOptions& options = {});
 
-/// Execute a planned classification with the standard fallback chain:
-/// replay the recorded swap-in schedule; if that OOMs (timing drift),
-/// fall back to dynamic memory-aware scheduling, then to on-demand
-/// swap-ins. Returns the first successful run (or the last failure).
+/// Execute a planned classification: time the schedule as planned (pool
+/// clamped to the planning capacity) and the dynamic memory-aware one on
+/// the full device, and return the faster that completes; when both OOM
+/// (timing drift), fall back to on-demand swap-ins. With options.data
+/// attached, exactly one training iteration runs on it — the winner's op
+/// stream — and only if some schedule completed.
 sim::RunResult execute_plan(const sim::Runtime& runtime,
                             const PlannerResult& plan,
                             sim::RunOptions options = {});
@@ -158,14 +160,5 @@ MeasuredPipelineResult run_pooch_measured(
     const graph::Graph& graph, const std::vector<graph::BwdStep>& tape,
     const cost::MachineConfig& machine, const sim::TimeModel& ground_truth,
     const MeasuredPipelineOptions& options = {});
-
-/// Execute an externally supplied classification (used by the baselines
-/// and by the paper's cross-environment experiment in §5.2).
-sim::RunResult execute_classification(const graph::Graph& graph,
-                                      const std::vector<graph::BwdStep>& tape,
-                                      const cost::MachineConfig& machine,
-                                      const sim::TimeModel& ground_truth,
-                                      const sim::Classification& classes,
-                                      const sim::RunOptions& run_options);
 
 }  // namespace pooch::planner

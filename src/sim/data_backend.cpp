@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "exec/op_stream.hpp"
 #include "kernels/activations.hpp"
 #include "kernels/batchnorm.hpp"
 #include "kernels/conv.hpp"
@@ -315,9 +316,9 @@ void DataBackend::backward(NodeId id, std::uint64_t iteration) {
 
 void DataBackend::swap_out(ValueId v) {
   POOCH_CHECK_MSG(value_resident(v), "swap_out of non-resident v" << v);
-  // Move the buffer host-side instead of deep-copying: the runtime frees
-  // the device copy right after a swap-out anyway, and moving keeps peak
-  // footprint at one copy of the tensor instead of two.
+  // Move the buffer host-side instead of deep-copying: a swap-out retires
+  // the device copy, and moving keeps peak footprint at one copy of the
+  // tensor instead of two.
   host_[static_cast<std::size_t>(v)] =
       std::move(values_[static_cast<std::size_t>(v)]);
   values_[static_cast<std::size_t>(v)] = Tensor();
@@ -357,6 +358,56 @@ void DataBackend::update() {
                      }
                    });
     }
+  }
+}
+
+void DataBackend::apply(const exec::StreamOp& op, std::uint64_t iteration) {
+  switch (op.type) {
+    case exec::OpType::kBeginIteration:
+      begin_iteration();
+      break;
+    case exec::OpType::kForward:
+    case exec::OpType::kRecompute:
+      forward(op.node, iteration);
+      break;
+    case exec::OpType::kBackward:
+      backward(op.node, iteration);
+      break;
+    case exec::OpType::kUpdate:
+      update();
+      break;
+    case exec::OpType::kSwapOut:
+      swap_out(op.value);
+      break;
+    case exec::OpType::kSwapIn:
+      swap_in(op.value);
+      break;
+    case exec::OpType::kFreeValue:
+      free_value(op.value);
+      break;
+    case exec::OpType::kFreeGrad:
+      free_grad(op.value);
+      break;
+  }
+}
+
+void DataBackend::replay(const exec::OpStream& stream) {
+  for (const exec::StreamOp& op : stream.ops) apply(op, stream.iteration);
+}
+
+void train_incore(const Graph& graph, const std::vector<graph::BwdStep>& tape,
+                  DataBackend& data, std::uint64_t first_iteration,
+                  int iterations) {
+  for (int i = 0; i < iterations; ++i) {
+    const std::uint64_t it = first_iteration + static_cast<std::uint64_t>(i);
+    data.begin_iteration();
+    for (const Node& n : graph.nodes()) data.forward(n.id, it);
+    for (const graph::BwdStep& step : tape) {
+      data.backward(step.node, it);
+      data.free_grad(graph.node(step.node).output);
+    }
+    for (const auto& v : graph.values()) data.free_value(v.id);
+    data.update();
   }
 }
 

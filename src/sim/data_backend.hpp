@@ -1,22 +1,29 @@
-// Real numeric execution attached to the virtual GPU.
+// Real numeric execution of the op stream the simulator exported.
 //
-// The runtime drives this backend in program order: forward/backward
-// kernels, host<->device copies, frees, and the SGD update. "Device"
-// tensors live in values_/grads_; a swap-out copies to host_ and drops the
-// device buffer, mirroring what the timing layer schedules.
+// One engine schedules, the stream executes: apply() is the single
+// mapping from an exec::StreamOp to kernels and host<->device moves,
+// shared by the serial replay (RunOptions::data) and the threaded
+// exec::AsyncExecutor. "Device" tensors live in values_/grads_; a
+// swap-out moves the buffer to host_, a swap-in copies it back.
 //
-// Its purpose is verification: a training iteration executed under any
-// feasible classification must produce bit-identical losses, gradients
-// and updated parameters to the in-core (all-keep) run. The paper asserts
-// swap/recompute transparency; this backend lets tests prove it.
+// Its purpose is verification: training under any feasible
+// classification must produce bit-identical losses, gradients and
+// updated parameters to train_incore() — a program-order loop sharing no
+// code with the scheduler, the stream or apply().
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "graph/autodiff.hpp"
 #include "graph/graph.hpp"
 #include "kernels/kernel_context.hpp"
 #include "tensor/tensor.hpp"
+
+namespace pooch::exec {
+struct OpStream;
+struct StreamOp;
+}
 
 namespace pooch::sim {
 
@@ -52,18 +59,10 @@ class DataBackend {
     kernels::KernelContext* prev_ctx_;
   };
 
-  // --- ops invoked by the runtime in program order ---
-  /// Re-installs the input batch (mirrors the per-iteration H2D upload of
-  /// training data); called by the runtime at the start of every run.
-  void begin_iteration();
-  void forward(graph::NodeId node, std::uint64_t iteration);
-  void backward(graph::NodeId node, std::uint64_t iteration);
-  void swap_out(graph::ValueId value);  // device -> host (buffer moves)
-  void swap_in(graph::ValueId value);   // host -> device (copies; the
-                                        // host copy stays a clean page)
-  void free_value(graph::ValueId value);
-  void free_grad(graph::ValueId value);
-  void update();
+  /// Execute one stream op with dropout epoch `iteration`.
+  void apply(const exec::StreamOp& op, std::uint64_t iteration);
+  /// Serial replay: apply every op of `stream` in index order.
+  void replay(const exec::OpStream& stream);
 
   // --- inspection (tests, examples) ---
   float loss() const;
@@ -77,6 +76,21 @@ class DataBackend {
   double param_norm() const;
 
  private:
+  friend void train_incore(const graph::Graph&,
+                           const std::vector<graph::BwdStep>&, DataBackend&,
+                           std::uint64_t, int);
+
+  // --- what apply() and train_incore() execute ---
+  void begin_iteration();  // re-installs the pristine input batch
+  void forward(graph::NodeId node, std::uint64_t iteration);
+  void backward(graph::NodeId node, std::uint64_t iteration);
+  void swap_out(graph::ValueId value);  // device -> host (buffer moves)
+  void swap_in(graph::ValueId value);   // host -> device (copies; the
+                                        // host copy stays a clean page)
+  void free_value(graph::ValueId value);
+  void free_grad(graph::ValueId value);
+  void update();
+
   Tensor& ensure_value(graph::ValueId v);
   Tensor& ensure_grad(graph::ValueId v);
   void accumulate_grad(graph::ValueId v, Tensor contribution);
@@ -98,5 +112,14 @@ class DataBackend {
   std::vector<std::int64_t> labels_;
   float last_loss_ = 0.0f;
 };
+
+/// Serial in-core training, the reference every execution is checked
+/// against: per iteration (dropout epochs first_iteration, +1, ...) place
+/// the inputs, forward in node order, backward in tape order (each
+/// gradient freed after its producer's backward), free every feature
+/// map, SGD update. Nothing is ever swapped or recomputed.
+void train_incore(const graph::Graph& graph,
+                  const std::vector<graph::BwdStep>& tape, DataBackend& data,
+                  std::uint64_t first_iteration, int iterations);
 
 }  // namespace pooch::sim

@@ -17,31 +17,6 @@ namespace {
 /// ties. Copy lanes and single-worker compute use priority 0 = FIFO.
 using ReadyEntry = std::pair<double, std::int32_t>;
 
-bool timeline_kind(exec::OpType type, OpKind& kind) {
-  switch (type) {
-    case exec::OpType::kForward:
-      kind = OpKind::kForward;
-      return true;
-    case exec::OpType::kBackward:
-      kind = OpKind::kBackward;
-      return true;
-    case exec::OpType::kRecompute:
-      kind = OpKind::kRecompute;
-      return true;
-    case exec::OpType::kUpdate:
-      kind = OpKind::kUpdate;
-      return true;
-    case exec::OpType::kSwapOut:
-      kind = OpKind::kSwapOut;
-      return true;
-    case exec::OpType::kSwapIn:
-      kind = OpKind::kSwapIn;
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 MultiLaneResult simulate_multilane(const exec::OpStream& stream,
@@ -140,7 +115,7 @@ MultiLaneResult simulate_multilane(const exec::OpStream& stream,
   if (options.record_timeline) {
     for (std::size_t i = 0; i < n_ops; ++i) {
       OpKind kind;
-      if (!timeline_kind(stream.ops[i].type, kind)) continue;
+      if (!exec::timeline_kind(stream.ops[i].type, kind)) continue;
       OpRecord r;
       r.kind = kind;
       r.node = stream.ops[i].node;

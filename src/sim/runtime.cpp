@@ -150,9 +150,9 @@ class Exec {
 
   // ---- op-stream export ----------------------------------------------
   //
-  // Every site that would drive a DataBackend call also emits a StreamOp
-  // when export is on, whether or not a backend is attached, so the
-  // exported schedule reproduces the serial call sequence exactly.
+  // Every scheduled compute op, transfer and free emits one StreamOp when
+  // export is on. The stream is the run's whole numeric content: a
+  // backend executes it (Runtime::run's replay, or exec::AsyncExecutor).
 
   void export_compute(exec::OpType type, NodeId node,
                       std::span<const ValueId> touched, double start,
@@ -391,9 +391,8 @@ class Exec {
     s.swapin_issued = false;
     s.dev.reset();
     s.ready = 0.0;
-    if (opts_.data) opts_.data->free_value(p.value);
     // Mirror unrecord_swapin in the exported stream: the transfer never
-    // ran, so tombstone it rather than pairing it with a free.
+    // ran, so tombstone it.
     if (xb_) xb_->cancel_swapin(p.value);
     next_q_ = std::min(next_q_, p.queue_index);
     bump("runtime.rescue.cancel_prefetch");
@@ -419,7 +418,6 @@ class Exec {
       s.swapin_issued = false;
       s.dev.reset();
       s.ready = 0.0;
-      if (opts_.data) opts_.data->free_value(it->value);
       export_free_value(it->value, now, /*releases_host=*/false);
       next_q_ = std::min(next_q_, it->queue_index);
       issued_.erase(std::next(it).base());
@@ -454,7 +452,6 @@ class Exec {
     s.dev.reset();
     s.swapin_issued = false;
     s.ready = 0.0;
-    if (opts_.data) opts_.data->free_value(best);
     export_free_value(best, now, /*releases_host=*/false);
     bump("runtime.rescue.wait_inflight_prefetch");
     return true;
@@ -483,7 +480,6 @@ class Exec {
     s.dev.reset();
     s.swapin_issued = false;
     s.ready = 0.0;
-    if (opts_.data) opts_.data->free_value(best);
     export_free_value(best, now, /*releases_host=*/false);
     bump("runtime.rescue.evict_clean_resident");
     return true;
@@ -557,10 +553,6 @@ class Exec {
     t_d2h_ = end;
     s.d2h_end = end;
     s.on_host = true;
-    if (opts_.data) {
-      opts_.data->swap_out(v);
-      opts_.data->free_value(v);
-    }
     if (xb_) xb_->emit_value(exec::OpType::kSwapOut, v, vbytes(v), start, end);
     // The device buffer is reclaimable only once the copy has finished.
     schedule_free(*s.dev, end, v, /*from_d2h=*/true);
@@ -599,7 +591,6 @@ class Exec {
     s.dev = off;
     s.ready = end;
     s.swapin_issued = true;
-    if (opts_.data) opts_.data->swap_in(v);
     if (xb_) xb_->emit_value(exec::OpType::kSwapIn, v, vbytes(v), start, end);
     if (!blocking) {
       issued_.push_back(IssuedPrefetch{v, off, start, prev_cursor,
@@ -675,7 +666,6 @@ class Exec {
   // ---- forward phase -------------------------------------------------
 
   void place_graph_inputs() {
-    if (opts_.data) opts_.data->begin_iteration();
     export_compute(exec::OpType::kBeginIteration, kNoNode, g_.inputs(), 0.0,
                    0.0);
     for (ValueId in : g_.inputs()) {
@@ -694,7 +684,6 @@ class Exec {
     if (plan_.discard[vi]) {
       schedule_free(*s.dev, t, v, /*from_d2h=*/false);
       s.dev.reset();
-      if (opts_.data) opts_.data->free_value(v);
       export_free_value(v, t, /*releases_host=*/false);
       return;
     }
@@ -734,7 +723,6 @@ class Exec {
         blame = mem_blame;
       }
       const double end = start + tm_.forward_time(node.id);
-      if (opts_.data) opts_.data->forward(node.id, opts_.iteration);
       if (xb_) {
         touched_scratch_.assign(node.inputs.begin(), node.inputs.end());
         touched_scratch_.push_back(out);
@@ -831,7 +819,6 @@ class Exec {
     const double dur = tm_.forward_time(node.id);
     const double end = start + dur;
     result_.recompute_seconds += dur;
-    if (opts_.data) opts_.data->forward(node.id, opts_.iteration);
     if (xb_) {
       touched_scratch_.assign(node.inputs.begin(), node.inputs.end());
       touched_scratch_.push_back(out);
@@ -927,7 +914,6 @@ class Exec {
         }
       }
       const double end = start + tm_.backward_time(bstep.node);
-      if (opts_.data) opts_.data->backward(bstep.node, opts_.iteration);
       export_compute(exec::OpType::kBackward, bstep.node, bstep.needed, start,
                      end);
       record(OpKind::kBackward, bstep.node, g_.node(bstep.node).output, start,
@@ -950,7 +936,6 @@ class Exec {
           host_.release(vbytes(v));
           s.on_host = false;
         }
-        if (opts_.data) opts_.data->free_value(v);
       }
       // Free gradient buffers whose last aliased consumer was this step.
       for (ValueId v : grad_arena_free_by_step_[k]) {
@@ -961,7 +946,6 @@ class Exec {
         }
       }
       for (ValueId v : grad_backend_free_by_step_[k]) {
-        if (opts_.data) opts_.data->free_grad(v);
         // Gradient slots are compute-lane-only: no value-slot touch, no
         // cross-lane edges.
         if (xb_) {
@@ -974,7 +958,6 @@ class Exec {
   void run_update() {
     const double start = t_comp_;
     const double end = start + tm_.update_time();
-    if (opts_.data) opts_.data->update();
     export_compute(exec::OpType::kUpdate, kNoNode, {}, start, end);
     record(OpKind::kUpdate, kNoNode, -1, start, end, 0.0, StallCause::kNone,
            -1);
@@ -1063,20 +1046,26 @@ Runtime::Runtime(const Graph& graph, const std::vector<BwdStep>& tape,
 
 RunResult Runtime::run(const Classification& classes,
                        const RunOptions& options) const {
+  // Numerics follow the schedule, never drive it: with a backend, export
+  // the stream, and replay it only once the run has completed.
+  exec::OpStream local;
+  RunOptions scheduling = options;
+  if (options.data && !options.export_stream) scheduling.export_stream = &local;
+  RunResult r;
   try {
-    Exec exec(graph_, tape_, machine_, time_model_, classes, options);
+    Exec exec(graph_, tape_, machine_, time_model_, classes, scheduling);
     try {
-      return exec.run();
+      r = exec.run();
     } catch (const OomUnwind& oom) {
-      return exec.fail(oom.what);
+      r = exec.fail(oom.what);
     }
   } catch (const OomUnwind& oom) {
     // Construction-time failure (persistent pool does not fit).
-    RunResult r;
     r.oom = true;
     r.failure = oom.what;
-    return r;
   }
+  if (r.ok && options.data) options.data->replay(*scheduling.export_stream);
+  return r;
 }
 
 }  // namespace pooch::sim

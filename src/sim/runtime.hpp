@@ -1,14 +1,15 @@
-// The virtual GPU runtime: executes one training iteration of a graph
+// The virtual GPU runtime: schedules one training iteration of a graph
 // under a classification, on a machine, and reports what happened.
 //
-// It is simultaneously
-//   (a) the *timeline simulator* PoocH's classifier queries thousands of
-//       times (§4.1.2: "PoocH simulates an execution timeline and memory
-//       management processes"), and
-//   (b) the *executor* of the chosen classification — attach a DataBackend
-//       and the same schedule runs real kernels on real tensors.
-// Using one engine for both is the strongest form of the paper's premise
-// that the simulation faithfully models the execution.
+// It is the *timeline simulator* PoocH's classifier queries thousands of
+// times (§4.1.2: "PoocH simulates an execution timeline and memory
+// management processes"), and nothing else: it runs no kernels. One
+// engine schedules, the stream executes. A run can export its schedule
+// as an exec::OpStream, and real numerics are that stream applied to a
+// DataBackend — serially in index order (RunOptions::data, after the run
+// completed) or with real threads (exec::AsyncExecutor); both go through
+// DataBackend::apply, the single op -> kernel mapping. The simulation
+// therefore models exactly the op sequence that executes.
 //
 // Modelled structure: one compute stream, one D2H stream, one H2D stream;
 // a best-fit arena for device memory where allocations may have to wait
@@ -82,13 +83,15 @@ struct RunOptions {
   /// the plan was validated against, so the execution reproduces the
   /// planning simulation's memory behaviour exactly.
   std::size_t usable_bytes_override = 0;
-  /// Optional real execution.
+  /// Optional real execution: once the run has completed, its exported
+  /// op stream is replayed on this backend in index order
+  /// (DataBackend::replay). A failed (OOM) run leaves it untouched.
   DataBackend* data = nullptr;
   /// When set, the run additionally exports its schedule as a replayable
   /// op stream with dependency edges (see exec/op_stream.hpp) — the
-  /// input to exec::AsyncExecutor. Works with or without `data`; only
-  /// written when the run completes (ok). Cancelled prefetches are
-  /// compacted out, mirroring unrecord_swapin.
+  /// input to exec::AsyncExecutor. Only written when the run completes
+  /// (ok). Cancelled prefetches are compacted out, mirroring
+  /// unrecord_swapin.
   exec::OpStream* export_stream = nullptr;
   /// Metrics sink. When set, the run publishes counters (transfers,
   /// recomputes, OOM-rescue events, eager-prefetch headroom blocks),
@@ -143,7 +146,8 @@ class Runtime {
   Runtime(const graph::Graph& graph, const std::vector<graph::BwdStep>& tape,
           const cost::MachineConfig& machine, const TimeModel& time_model);
 
-  /// Simulate (and optionally execute) one training iteration.
+  /// Simulate one training iteration (and, with options.data, replay
+  /// the completed schedule on that backend).
   ///
   /// Thread safety: run() is re-entrant. The Runtime itself holds only
   /// const references; every piece of execution state (arena, host pool,

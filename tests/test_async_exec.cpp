@@ -69,17 +69,11 @@ void expect_bit_identical(const graph::Graph& g, const DataBackend& a,
   }
 }
 
-/// Serial in-core reference: keep-all, inline backend, ample memory.
+/// Serial in-core reference (train_incore: no scheduler, no stream).
 std::unique_ptr<DataBackend> serial_reference(const AsyncEnv& env,
                                               int iterations = 1) {
   auto backend = std::make_unique<DataBackend>(env.g, kSeed);
-  RunOptions ro;
-  ro.data = backend.get();
-  for (int i = 0; i < iterations; ++i) {
-    ro.iteration = static_cast<std::uint64_t>(i);
-    const auto r = env.rt->run(Classification(env.g, ValueClass::kKeep), ro);
-    EXPECT_TRUE(r.ok) << r.failure;
-  }
+  train_incore(env.g, env.tape, *backend, 0, iterations);
   return backend;
 }
 
@@ -234,8 +228,8 @@ TEST(AsyncExecStream, ExportMatchesRecordedTimeline) {
 }
 
 TEST(AsyncExecStream, ExportWorksAlongsideDataBackend) {
-  // Export and inline execution in the same run: same stream as a pure
-  // scheduling pass, and the backend still finishes the iteration.
+  // Export with a backend attached: the stream the backend replayed is
+  // the same as a pure scheduling pass exports.
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   exec::OpStream pure = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));

@@ -2,7 +2,8 @@
 // iteration under ANY feasible classification — swapping, recomputing, or
 // a mix, under any swap-in policy — produces bit-identical numbers to the
 // in-core run. The paper asserts this transparency; here it is proved on
-// real kernels through the same scheduler that produced the timing.
+// real kernels replaying the very op stream the scheduler timed, against
+// train_incore, a reference that shares no code with that path.
 #include <gtest/gtest.h>
 
 #include "cost/cost_model.hpp"
@@ -10,6 +11,7 @@
 #include "models/models.hpp"
 #include "sim/runtime.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "testing_util.hpp"
 
 namespace pooch::sim {
 namespace {
@@ -42,6 +44,13 @@ struct Env {
       const auto r = rt->run(c, opts);
       EXPECT_TRUE(r.ok) << r.failure;
     }
+    return backend;
+  }
+
+  /// The serial in-core reference over the same iterations.
+  std::unique_ptr<DataBackend> incore(int iterations = 1) const {
+    auto backend = std::make_unique<DataBackend>(g, /*seed=*/1234);
+    train_incore(g, tape, *backend, 0, iterations);
     return backend;
   }
 };
@@ -81,7 +90,7 @@ class EquivalenceOverModels
 
 TEST_P(EquivalenceOverModels, SwapAllMatchesInCore) {
   Env env(GetParam()());
-  auto incore = env.iterate(Classification(env.g, ValueClass::kKeep));
+  auto incore = env.incore();
   auto swapped = env.iterate(Classification(env.g, ValueClass::kSwap));
   EXPECT_GT(incore->loss(), 0.0f);
   expect_identical(env, *incore, *swapped);
@@ -91,14 +100,14 @@ TEST_P(EquivalenceOverModels, RecomputeAllMatchesInCore) {
   Env env(GetParam()());
   Classification c(env.g, ValueClass::kRecompute);
   for (auto in : env.g.inputs()) c.set(in, ValueClass::kKeep);
-  auto incore = env.iterate(Classification(env.g, ValueClass::kKeep));
+  auto incore = env.incore();
   auto recomputed = env.iterate(c);
   expect_identical(env, *incore, *recomputed);
 }
 
 TEST_P(EquivalenceOverModels, MixedClassificationMatchesInCore) {
   Env env(GetParam()());
-  auto incore = env.iterate(Classification(env.g, ValueClass::kKeep));
+  auto incore = env.incore();
   for (int salt = 0; salt < 3; ++salt) {
     auto mixed = env.iterate(mixed_classes(env.g, salt));
     expect_identical(env, *incore, *mixed);
@@ -128,8 +137,7 @@ TEST(Equivalence, SwapInPoliciesAllProduceSameNumbers) {
 
 TEST(Equivalence, MultiIterationTrainingTrajectoryIdentical) {
   Env env(models::small_cnn(2, 16));
-  auto incore =
-      env.iterate(Classification(env.g, ValueClass::kKeep), {}, 4);
+  auto incore = env.incore(4);
   auto mixed = env.iterate(mixed_classes(env.g, 1), {}, 4);
   expect_identical(env, *incore, *mixed);
   EXPECT_NE(incore->param_norm(), 0.0);
@@ -172,7 +180,7 @@ TEST(Equivalence, DropoutSurvivesRecompute) {
   g.validate();
 
   Env env(std::move(g));
-  auto incore = env.iterate(Classification(env.g, ValueClass::kKeep));
+  auto incore = env.incore();
   Classification c(env.g, ValueClass::kKeep);
   // Recompute the relu output and the dropout output: backward of fc2
   // needs the dropout output, which will be re-derived through dropout.
@@ -180,6 +188,44 @@ TEST(Equivalence, DropoutSurvivesRecompute) {
   c.set(3, ValueClass::kRecompute);
   auto recomputed = env.iterate(c);
   expect_identical(env, *incore, *recomputed);
+}
+
+TEST(Equivalence, KeepAllReplayMatchesTrainIncore) {
+  // The keep-all replay is the path the benchmark's correctness gate
+  // takes; train_incore is the independent loop every other check uses.
+  // They must agree over several iterations — dropout masks included,
+  // so a replay that loses the iteration index fails here.
+  std::vector<Graph> corpus;
+  for (std::uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u, 55u, 89u}) {
+    corpus.push_back(testing::random_graph(seed));
+  }
+  corpus.push_back(models::small_cnn(2, 16));
+  for (Graph& graph : corpus) {
+    Env env(std::move(graph));
+    auto keep = env.iterate(Classification(env.g, ValueClass::kKeep), {}, 3);
+    auto incore = env.incore(3);
+    expect_identical(env, *incore, *keep);
+  }
+}
+
+TEST(Equivalence, FailedRunLeavesBackendUntouched) {
+  // Numerics replay a completed schedule only: a run that OOMs midway
+  // must not have trained, allocated or moved anything.
+  Env env(models::small_cnn(8, 32), /*cap_mib=*/2);
+  DataBackend backend(env.g, 1234);
+  const DataBackend fresh(env.g, 1234);
+  RunOptions opts;
+  opts.data = &backend;
+  const auto r = env.rt->run(Classification(env.g, ValueClass::kKeep), opts);
+  // Out of memory mid-schedule, not already at the parameter pool.
+  ASSERT_TRUE(r.oom);
+  ASSERT_EQ(r.failure.rfind("device OOM", 0), 0u) << r.failure;
+  EXPECT_EQ(backend.param_norm(), fresh.param_norm());
+  expect_identical(env, fresh, backend);
+  for (const auto& v : env.g.values()) {
+    if (v.producer == graph::kNoNode) continue;
+    EXPECT_FALSE(backend.value_resident(v.id)) << "v" << v.id;
+  }
 }
 
 TEST(Equivalence, BackendValueResidencyTracksSchedule) {

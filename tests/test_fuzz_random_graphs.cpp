@@ -111,9 +111,7 @@ TEST_P(RandomGraphFuzz, FeasibleClassificationsAreNumericallyExact) {
   const Runtime rt(g, tape, machine, tm);
 
   DataBackend reference(g, GetParam());
-  RunOptions ref_ro;
-  ref_ro.data = &reference;
-  ASSERT_TRUE(rt.run(Classification(g, ValueClass::kKeep), ref_ro).ok);
+  train_incore(g, tape, reference, 0, 1);
 
   Rng rng(GetParam() * 28657);
   for (int round = 0; round < 3; ++round) {

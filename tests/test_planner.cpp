@@ -205,9 +205,7 @@ TEST(Pipeline, PlannedClassificationIsNumericallyTransparent) {
   ASSERT_TRUE(plan.feasible);
 
   sim::DataBackend incore_backend(rig.g, 99);
-  sim::RunOptions ro;
-  ro.data = &incore_backend;
-  ASSERT_TRUE(rig.rt->run(Classification(rig.g, ValueClass::kKeep), ro).ok);
+  sim::train_incore(rig.g, rig.tape, incore_backend, 0, 1);
 
   sim::DataBackend planned_backend(tight.g, 99);
   sim::RunOptions ro2;

@@ -215,10 +215,7 @@ TEST(RescueChain, EvictionKeepsTightRunsAliveAndNumbersExact) {
   ASSERT_TRUE(r.ok) << r.failure;
 
   DataBackend ref_backend(probe.g, 31);
-  RunOptions ref;
-  ref.data = &ref_backend;
-  ASSERT_TRUE(
-      probe.rt->run(Classification(probe.g, ValueClass::kKeep), ref).ok);
+  train_incore(probe.g, probe.tape, ref_backend, 0, 1);
   EXPECT_EQ(tight_backend.loss(), ref_backend.loss());
   EXPECT_EQ(tight_backend.param_norm(), ref_backend.param_norm());
 }
@@ -273,10 +270,7 @@ TEST(RescueChain, CancelledPrefetchesNeverLeaveDanglingSwapIns) {
   const auto res = executor.run(async_backend, ao);
   ASSERT_TRUE(res.ok) << res.failure;
   DataBackend ref_backend(probe.g, 31);
-  RunOptions ref;
-  ref.data = &ref_backend;
-  ASSERT_TRUE(
-      probe.rt->run(Classification(probe.g, ValueClass::kKeep), ref).ok);
+  train_incore(probe.g, probe.tape, ref_backend, 0, 1);
   EXPECT_EQ(async_backend.loss(), ref_backend.loss());
   EXPECT_EQ(async_backend.param_norm(), ref_backend.param_norm());
 }
@@ -316,6 +310,29 @@ TEST(ExecutePlan, FallsBackWhenScheduleCannotRun) {
   plan.planning_usable_bytes = 1 * kMiB;
   const auto r = planner::execute_plan(*rig.rt, plan);
   EXPECT_TRUE(r.ok) << r.failure;
+}
+
+TEST(ExecutePlan, TrainsExactlyOneIteration) {
+  // execute_plan times several candidate schedules; with a backend
+  // attached only the winner's stream may execute, once.
+  Rig probe(models::small_cnn(2, 16), 4096, 1.0);
+  const auto keep = probe.rt->run(Classification(probe.g, ValueClass::kKeep));
+  ASSERT_TRUE(keep.ok);
+  Rig tight(models::small_cnn(2, 16), keep.peak_bytes * 3 / 4 / kMiB + 1,
+            1.0);
+  planner::PoochPlanner p(tight.g, tight.tape, tight.machine, *tight.tm);
+  const auto plan = p.plan();
+  ASSERT_TRUE(plan.feasible);
+
+  DataBackend planned(tight.g, 17);
+  RunOptions ro;
+  ro.data = &planned;
+  const auto r = planner::execute_plan(*tight.rt, plan, ro);
+  ASSERT_TRUE(r.ok) << r.failure;
+  DataBackend ref(tight.g, 17);
+  train_incore(tight.g, tight.tape, ref, 0, 1);
+  EXPECT_EQ(planned.loss(), ref.loss());
+  EXPECT_EQ(planned.param_norm(), ref.param_norm());
 }
 
 TEST(Profiler, RecordsThePolicyItActuallyUsed) {

@@ -259,6 +259,8 @@ struct Context {
   std::unique_ptr<sim::Runtime> runtime;
   const CliOptions& o;
   int exit_status = 0;
+  /// Serial in-core training of one iteration (see incore_reference).
+  std::unique_ptr<sim::DataBackend> reference{};
 };
 
 /// Trace path for one method: `--method all` expands run.trace.json into
@@ -288,10 +290,21 @@ std::string with_infix(const std::string& path, const char* infix) {
 /// loss printed by any method/thread count is comparable.
 constexpr std::uint64_t kDataSeed = 0x5eed;
 
+/// The reference every numeric run is checked against: one iteration of
+/// serial in-core training from kDataSeed. Built on first use and shared
+/// by every method of the invocation.
+const sim::DataBackend& incore_reference(Context& ctx) {
+  if (!ctx.reference) {
+    ctx.reference = std::make_unique<sim::DataBackend>(ctx.g, kDataSeed);
+    sim::train_incore(ctx.g, ctx.tape, *ctx.reference, 0, 1);
+  }
+  return *ctx.reference;
+}
+
 /// --async-exec: export the schedule the simulator just timed as a
 /// replayable op stream, execute it for real through the AsyncExecutor
 /// (concurrent copy workers against a fresh numeric backend), and demand
-/// the result bit-identical to a serial in-core reference run.
+/// the result bit-identical to serial in-core training.
 void run_async_exec(Context& ctx, const char* name,
                     const sim::Classification& classes, sim::RunOptions ro) {
   ro.data = nullptr;
@@ -333,22 +346,10 @@ void run_async_exec(Context& ctx, const char* name,
     }
   }
 
-  // The reference must never (simulated-)OOM, so give it a machine that
-  // can keep everything resident — device capacity has no effect on the
-  // numerics, only on the schedule.
-  cost::MachineConfig roomy = ctx.machine;
-  roomy.gpu_capacity_bytes =
-      std::max(roomy.gpu_capacity_bytes,
-               graph::incore_peak_bytes(ctx.g) * 2 + (std::size_t{1} << 30));
-  sim::Runtime ref_rt(ctx.g, ctx.tape, roomy, *ctx.hardware);
-  sim::DataBackend ref(ctx.g, kDataSeed);
-  sim::RunOptions rro;
-  rro.data = &ref;
-  const auto rr =
-      ref_rt.run(sim::Classification(ctx.g, sim::ValueClass::kKeep), rro);
+  const sim::DataBackend& ref = incore_reference(ctx);
   const float got = data.loss();
   const float want = ref.loss();
-  const bool same = rr.ok && std::memcmp(&got, &want, sizeof(float)) == 0 &&
+  const bool same = std::memcmp(&got, &want, sizeof(float)) == 0 &&
                     data.param_norm() == ref.param_norm();
   std::printf("%-16s async exec, %d compute / %d copy worker(s): wall %s   "
               "compute busy %s wait %s   H2D busy %s   D2H busy %s\n",
@@ -370,14 +371,15 @@ void run_async_exec(Context& ctx, const char* name,
   }
 }
 
-void report(Context& ctx, const char* name, const sim::RunResult& r,
+/// Print one method's outcome; returns whether its run completed.
+bool report(Context& ctx, const char* name, const sim::RunResult& r,
             const std::array<int, 3>* counts = nullptr,
             const sim::Classification* classes = nullptr,
             const sim::RunOptions* run_opts = nullptr) {
   if (!r.ok) {
     std::printf("%-16s OOM\n", name);
     if (ctx.o.timeline) std::printf("%s\n", r.failure.c_str());
-    return;
+    return false;
   }
   std::printf("%-16s %9.1f items/s   iteration %-10s peak %7s   "
               "stall %s\n",
@@ -416,18 +418,15 @@ void report(Context& ctx, const char* name, const sim::RunResult& r,
     run_async_exec(ctx, name, *classes,
                    run_opts ? *run_opts : sim::RunOptions{});
   }
+  return true;
 }
 
-/// After a method executed real kernels through `data`, re-run the same
-/// iteration in-core on a fresh serial backend and demand bit-identical
-/// results — the CLI-level check of the kernel determinism contract (any
-/// schedule, any thread count, same bits).
-void verify_kernel_run(Context& ctx, sim::DataBackend& data) {
-  sim::DataBackend ref(ctx.g, kDataSeed);
-  const sim::Classification keep(ctx.g, sim::ValueClass::kKeep);
-  sim::RunOptions ro;
-  ro.data = &ref;
-  ctx.runtime->run(keep, ro);
+/// After a method executed real kernels through `data`, demand results
+/// bit-identical to serial in-core training — the CLI-level check of the
+/// transparency and kernel determinism contracts (any schedule, any
+/// thread count, same bits).
+void verify_kernel_run(Context& ctx, const sim::DataBackend& data) {
+  const sim::DataBackend& ref = incore_reference(ctx);
   const float got = data.loss();
   const float want = ref.loss();
   const bool same = std::memcmp(&got, &want, sizeof(float)) == 0 &&
@@ -534,28 +533,28 @@ void run_method(Context& ctx, const std::string& method) {
     data = std::make_unique<sim::DataBackend>(ctx.g, kDataSeed, 0.01f,
                                               kctx.get());
   }
-  sim::RunOptions ro;
-  ro.record_timeline = ctx.o.want_timeline();
-  ro.stats = stats;
-  ro.data = data.get();
+  // The CLI's per-run settings on top of a method's own run options.
+  auto with_cli = [&](sim::RunOptions opts) {
+    opts.record_timeline = ctx.o.want_timeline();
+    opts.stats = stats;
+    opts.data = data.get();
+    return opts;
+  };
+  const sim::RunOptions ro = with_cli({});
+  bool ran = false;
   if (method == "incore") {
     const sim::Classification c(ctx.g, sim::ValueClass::kKeep);
-    report(ctx, "in-core", ctx.runtime->run(c, ro), nullptr, &c);
+    ran = report(ctx, "in-core", ctx.runtime->run(c, ro), nullptr, &c);
   } else if (method == "swap-all") {
     const sim::Classification c(ctx.g, sim::ValueClass::kSwap);
-    auto opts = baselines::swap_all_scheduled_options();
-    opts.record_timeline = ctx.o.want_timeline();
-    opts.stats = stats;
-    opts.data = data.get();
-    report(ctx, "swap-all", ctx.runtime->run(c, opts), nullptr, &c, &opts);
+    const auto opts = with_cli(baselines::swap_all_scheduled_options());
+    ran = report(ctx, "swap-all", ctx.runtime->run(c, opts), nullptr, &c,
+                 &opts);
   } else if (method == "swap-all-naive") {
     const sim::Classification c(ctx.g, sim::ValueClass::kSwap);
-    auto opts = baselines::swap_all_naive_options();
-    opts.record_timeline = ctx.o.want_timeline();
-    opts.stats = stats;
-    opts.data = data.get();
-    report(ctx, "swap-all-naive", ctx.runtime->run(c, opts), nullptr, &c,
-           &opts);
+    const auto opts = with_cli(baselines::swap_all_naive_options());
+    ran = report(ctx, "swap-all-naive", ctx.runtime->run(c, opts), nullptr,
+                 &c, &opts);
   } else if (method == "swap-opt") {
     planner::PlannerOptions popt;
     popt.stats = stats;
@@ -567,30 +566,21 @@ void run_method(Context& ctx, const std::string& method) {
       std::printf("%-16s infeasible\n", "swap-opt");
       return;
     }
-    // execute_plan autotunes over two executions; with a numeric backend
-    // attached that would train a second iteration and make the loss
-    // incomparable to the one-iteration reference, so run the
-    // classification exactly once instead.
-    report(ctx, "swap-opt",
-           data ? ctx.runtime->run(plan.classes, ro)
-                : planner::execute_plan(*ctx.runtime, plan, ro),
-           &plan.counts, &plan.classes);
+    ran = report(ctx, "swap-opt", planner::execute_plan(*ctx.runtime, plan, ro),
+                 &plan.counts, &plan.classes);
   } else if (method == "superneurons") {
     const auto plan = baselines::superneurons_plan(ctx.g, ctx.tape,
                                                    ctx.machine,
                                                    *ctx.hardware);
-    auto opts = baselines::superneurons_run_options();
-    opts.record_timeline = ctx.o.want_timeline();
-    opts.stats = stats;
-    opts.data = data.get();
-    report(ctx, "superneurons", ctx.runtime->run(plan.classes, opts),
-           &plan.counts, &plan.classes, &opts);
+    const auto opts = with_cli(baselines::superneurons_run_options());
+    ran = report(ctx, "superneurons", ctx.runtime->run(plan.classes, opts),
+                 &plan.counts, &plan.classes, &opts);
   } else if (method == "vdnn") {
     const auto c = baselines::vdnn_conv_classify(ctx.g, ctx.tape);
-    report(ctx, "vdnn", ctx.runtime->run(c, ro), nullptr, &c);
+    ran = report(ctx, "vdnn", ctx.runtime->run(c, ro), nullptr, &c);
   } else if (method == "sublinear") {
     const auto c = baselines::sublinear_classify(ctx.g, ctx.tape);
-    report(ctx, "sublinear", ctx.runtime->run(c, ro), nullptr, &c);
+    ran = report(ctx, "sublinear", ctx.runtime->run(c, ro), nullptr, &c);
   } else if (method == "pooch") {
     planner::PipelineOptions po;
     po.planner.stats = stats;
@@ -602,19 +592,12 @@ void run_method(Context& ctx, const std::string& method) {
                   out.plan.feasible ? "execution failed" : "infeasible");
       return;
     }
-    sim::RunOptions pooch_ro = ro;
-    // The pipeline's own execution ran without our backend/timeline, so
-    // re-execute the plan whenever either is requested. With a numeric
-    // backend, run the classification exactly once — execute_plan
-    // autotunes over two executions, which would train a second
-    // iteration and break the one-iteration reference comparison.
-    const auto r =
-        data ? ctx.runtime->run(out.plan.classes, pooch_ro)
-             : (out.execution.ok && !ctx.o.want_timeline()
-                    ? out.execution
-                    : planner::execute_plan(*ctx.runtime, out.plan,
-                                            pooch_ro));
-    report(ctx, "pooch", r, &out.plan.counts, &out.plan.classes);
+    // The pipeline's own execution ran without our backend and timeline,
+    // so re-execute the plan whenever either is requested.
+    const auto r = out.execution.ok && !ctx.o.want_timeline() && !data
+                       ? out.execution
+                       : planner::execute_plan(*ctx.runtime, out.plan, ro);
+    ran = report(ctx, "pooch", r, &out.plan.counts, &out.plan.classes);
     if (ctx.o.show_classes) {
       std::fputs(out.plan.classes.to_string(ctx.g).c_str(), stdout);
     }
@@ -627,19 +610,28 @@ void run_method(Context& ctx, const std::string& method) {
   } else if (method == "exec") {
     if (ctx.o.load_plan.empty()) {
       std::fprintf(stderr, "method 'exec' needs --load-plan FILE\n");
+      ctx.exit_status = 2;
       return;
     }
     std::ifstream f(ctx.o.load_plan);
+    if (!f) throw Error("cannot open " + ctx.o.load_plan);
     std::string text;
     f >> text;
     const auto classes = sim::Classification::deserialize(ctx.g, text);
-    report(ctx, "exec(saved)", ctx.runtime->run(classes, ro), nullptr,
-           &classes);
+    ran = report(ctx, "exec(saved)", ctx.runtime->run(classes, ro), nullptr,
+                 &classes);
+    // A saved plan is a request to run exactly that classification: if it
+    // cannot run on this workload, the command failed.
+    if (!ran) {
+      std::fprintf(stderr, "saved plan %s ran out of device memory\n",
+                   ctx.o.load_plan.c_str());
+      ctx.exit_status = 1;
+    }
   } else {
     std::fprintf(stderr, "unknown method: %s\n", method.c_str());
     return;
   }
-  if (data) verify_kernel_run(ctx, *data);
+  if (data && ran) verify_kernel_run(ctx, *data);
 }
 
 }  // namespace
