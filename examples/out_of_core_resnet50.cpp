@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
   report("PoocH", pooch.execution);
   if (pooch.ok) {
     std::printf("\n%s", pooch.plan.summary(g).c_str());
-    std::printf("profiled %d iterations (%s simulated time)\n",
-                pooch.profile.iterations,
-                format_time(pooch.profile.profiled_seconds).c_str());
+    std::printf("profiled %d iterations (%s simulated each, median)\n",
+                pooch.profile.iterations_recorded(),
+                format_time(pooch.profile.iteration_seconds()).c_str());
   }
   return 0;
 }

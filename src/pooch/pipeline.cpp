@@ -22,11 +22,11 @@ PipelineResult run_pooch(const graph::Graph& graph,
   out.profile =
       profile::run_profiler(graph, tape, machine, ground_truth,
                             options.profile);
-  if (!out.profile.ok) {
+  if (out.profile.iterations_recorded() == 0) {
     out.ok = false;
     return out;
   }
-  const sim::TableTimeModel profiled = out.profile.to_time_model(graph);
+  const cost::CalibratedTimeModel profiled(graph, out.profile, ground_truth);
 
   // Phase 2: classification over the profiled times.
   PoochPlanner planner(graph, tape, machine, profiled, options.planner);

@@ -30,7 +30,9 @@ struct PipelineOptions {
 };
 
 struct PipelineResult {
-  profile::ProfileData profile;
+  /// The simulated profile the plan was made from (empty when even
+  /// swap-all could not run).
+  profile::MeasuredProfile profile{0, 0};
   PlannerResult plan;
   /// Execution of the planned classification on the ground-truth model.
   sim::RunResult execution;
@@ -46,8 +48,9 @@ struct PipelineResult {
 
 /// Run profile -> classify -> execute on one (graph, machine) pair.
 /// `ground_truth` is the hardware model; profiling observes it with
-/// noise, the classifier plans on the profile, execution runs against
-/// the ground truth again.
+/// noise, the classifier plans on the profile (served by
+/// cost::CalibratedTimeModel), execution runs against the ground truth
+/// again.
 PipelineResult run_pooch(const graph::Graph& graph,
                          const std::vector<graph::BwdStep>& tape,
                          const cost::MachineConfig& machine,
@@ -119,9 +122,11 @@ struct MeasuredPipelineResult {
   bool ok = false;
   std::string failure;
 
-  /// The initial, roofline-planned pipeline (phase 1-3 of run_pooch).
+  /// The initial, roofline-planned pipeline (phase 1-3 of run_pooch);
+  /// initial.profile is the simulated profile it planned from.
   PipelineResult initial;
-  /// Wall-clock profile of the *last* measurement round.
+  /// Wall-clock profile of the *last* measurement round — the same
+  /// format as initial.profile, measured instead of simulated.
   profile::MeasuredProfile measured{0, 0};
   /// Plan actually executing at the end (== initial.plan when no drift).
   PlannerResult final_plan;

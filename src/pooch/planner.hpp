@@ -131,7 +131,8 @@ struct PlannerResult {
 
 class PoochPlanner {
  public:
-  /// `time_model` is normally the TableTimeModel built from profiling.
+  /// `time_model` is normally the cost::CalibratedTimeModel serving the
+  /// profile (run_pooch).
   PoochPlanner(const graph::Graph& graph,
                const std::vector<graph::BwdStep>& tape,
                const cost::MachineConfig& machine,

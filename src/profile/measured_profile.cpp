@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -53,25 +54,44 @@ void MeasuredProfile::record_run(const exec::OpStream& stream,
     }
   }
   record_iteration_seconds(result.wall_seconds);
-  ++iterations_recorded_;
 }
 
+namespace {
+
+/// Throws unless `seconds` is a finite, non-negative duration; the
+/// message names the op (`what`, followed by `id` when it is >= 0).
+void check_seconds(double seconds, const char* what, int id = -1) {
+  if (std::isfinite(seconds) && seconds >= 0.0) return;
+  std::ostringstream os;
+  os << "MeasuredProfile: bad duration " << seconds << " s for " << what;
+  if (id >= 0) os << " " << id;
+  throw Error(os.str());
+}
+
+}  // namespace
+
 void MeasuredProfile::record_forward(graph::NodeId node, double seconds) {
+  check_seconds(seconds, "forward of node", node);
   fwd_.at(static_cast<std::size_t>(node)).push_back(seconds);
 }
 void MeasuredProfile::record_backward(graph::NodeId node, double seconds) {
+  check_seconds(seconds, "backward of node", node);
   bwd_.at(static_cast<std::size_t>(node)).push_back(seconds);
 }
 void MeasuredProfile::record_d2h(graph::ValueId value, double seconds) {
+  check_seconds(seconds, "d2h of value", value);
   d2h_.at(static_cast<std::size_t>(value)).push_back(seconds);
 }
 void MeasuredProfile::record_h2d(graph::ValueId value, double seconds) {
+  check_seconds(seconds, "h2d of value", value);
   h2d_.at(static_cast<std::size_t>(value)).push_back(seconds);
 }
 void MeasuredProfile::record_update(double seconds) {
+  check_seconds(seconds, "update");
   update_.push_back(seconds);
 }
 void MeasuredProfile::record_iteration_seconds(double seconds) {
+  check_seconds(seconds, "iteration");
   iteration_.push_back(seconds);
 }
 

@@ -2,12 +2,13 @@
 //
 // The paper's PoocH is *profiling-based* — it plans from per-layer
 // compute times and per-tensor transfer times measured during the first
-// training iterations on the actual hardware. The simulated profiler
-// (profiler.hpp) reproduces that loop against the roofline model; this
-// file closes it against *reality*: a MeasuredProfile accumulates the
-// wall-clock spans recorded by real exec::AsyncExecutor runs (whose
-// kernels execute through kernels::KernelContext on real tensors) and
-// condenses them into per-op estimates the planner can simulate with.
+// training iterations on the actual hardware. A MeasuredProfile holds
+// per-op time samples and condenses them into the per-op estimates the
+// planner simulates with (through cost::CalibratedTimeModel). Two
+// profilers fill it: the simulated one (profiler.hpp) observes the
+// roofline model, one averaged sample per op; measure_op_stream below
+// records the wall-clock spans of real exec::AsyncExecutor runs, whose
+// kernels execute through kernels::KernelContext on real tensors.
 //
 // Measurement methodology (docs/PROFILING.md):
 //   - warm-up iterations are executed but never recorded (cold caches,
@@ -58,8 +59,8 @@ struct MeasureOptions {
   std::vector<exec::AsyncResult>* keep_runs = nullptr;
 };
 
-/// Wall-clock observations of real executor runs, aggregated per op.
-/// Estimates are 0 where an op was never observed — consumers
+/// Per-op time observations (simulated or wall clock), aggregated per
+/// op. Estimates are 0 where an op was never observed — consumers
 /// (cost::CalibratedTimeModel) fall back to the analytic model there.
 class MeasuredProfile {
  public:
@@ -70,7 +71,9 @@ class MeasuredProfile {
   void record_run(const exec::OpStream& stream,
                   const exec::AsyncResult& result);
 
-  /// Record a single observation directly (tests, external timers).
+  /// Record a single observation directly (the simulated profiler,
+  /// tests, external timers). Throws pooch::Error naming the op when
+  /// `seconds` is NaN, infinite or negative.
   void record_forward(graph::NodeId node, double seconds);
   void record_backward(graph::NodeId node, double seconds);
   void record_d2h(graph::ValueId value, double seconds);
@@ -100,7 +103,10 @@ class MeasuredProfile {
   /// since the last configure() (recomputed lazily per query).
   std::int64_t outliers_rejected() const;
   std::int64_t total_samples() const;
-  int iterations_recorded() const { return iterations_recorded_; }
+  /// Iteration times recorded; 0 = an empty profile.
+  int iterations_recorded() const {
+    return static_cast<int>(iteration_.size());
+  }
 
   /// Set the rejection window (see MeasureOptions::outlier_factor).
   void set_outlier_factor(double f) { outlier_factor_ = f; }
@@ -113,7 +119,6 @@ class MeasuredProfile {
   double estimate(const std::vector<double>& samples) const;
 
   double outlier_factor_ = 3.0;
-  int iterations_recorded_ = 0;
   std::vector<std::vector<double>> fwd_, bwd_;   // per node
   std::vector<std::vector<double>> d2h_, h2d_;   // per value
   std::vector<double> update_;

@@ -1,7 +1,5 @@
 #include "profile/profiler.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/logging.hpp"
 
@@ -10,39 +8,15 @@ namespace pooch::profile {
 using graph::Graph;
 using graph::ValueId;
 
-sim::TableTimeModel ProfileData::to_time_model(const Graph& graph) const {
-  std::vector<double> d2h = d2h_time;
-  std::vector<double> h2d = h2d_time;
-  for (ValueId v = 0; v < graph.num_values(); ++v) {
-    const std::size_t vi = static_cast<std::size_t>(v);
-    const double est =
-        observed_bytes_per_sec > 0.0
-            ? static_cast<double>(graph.value(v).byte_size()) /
-                      observed_bytes_per_sec +
-                  observed_latency
-            : 0.0;
-    if (d2h[vi] == 0.0) d2h[vi] = est;
-    if (h2d[vi] == 0.0) h2d[vi] = est;
-  }
-  return sim::TableTimeModel(forward_time, backward_time, std::move(d2h),
-                             std::move(h2d), update_time);
-}
-
-ProfileData run_profiler(const Graph& graph,
-                         const std::vector<graph::BwdStep>& tape,
-                         const cost::MachineConfig& machine,
-                         const sim::TimeModel& ground_truth,
-                         const ProfileOptions& options) {
+MeasuredProfile run_profiler(const Graph& graph,
+                             const std::vector<graph::BwdStep>& tape,
+                             const cost::MachineConfig& machine,
+                             const sim::TimeModel& ground_truth,
+                             const ProfileOptions& options) {
   POOCH_CHECK(options.iterations > 0);
   const std::size_t nn = static_cast<std::size_t>(graph.num_nodes());
   const std::size_t nv = static_cast<std::size_t>(graph.num_values());
-
-  ProfileData data;
-  data.forward_time.assign(nn, 0.0);
-  data.backward_time.assign(nn, 0.0);
-  data.d2h_time.assign(nv, 0.0);
-  data.h2d_time.assign(nv, 0.0);
-  data.iterations = options.iterations;
+  MeasuredProfile profile(graph.num_nodes(), graph.num_values());
 
   // What the profiled iterations observe: the hardware through jittery
   // measurements. Sigma 0 degenerates to exact observation.
@@ -55,110 +29,86 @@ ProfileData run_profiler(const Graph& graph,
   // profiler then falls back to on-demand swap-ins (slower iterations,
   // but the measured per-op times are the same).
   const sim::Classification swap_all(graph, sim::ValueClass::kSwap);
-  data.policy_used = options.policy;
-  {
-    sim::RunOptions probe_opts;
-    probe_opts.swapin_policy = data.policy_used;
-    if (!runtime.run(swap_all, probe_opts).ok) {
-      data.policy_used = sim::SwapInPolicy::kOnDemand;
-      probe_opts.swapin_policy = data.policy_used;
-      if (!runtime.run(swap_all, probe_opts).ok) {
-        POOCH_LOG_WARN("profiling impossible: swap-all OOMs even with "
-                       "on-demand scheduling");
-        data.ok = false;
-        return data;
-      }
-      POOCH_LOG_INFO("profiler fell back to on-demand swap-ins");
+  sim::RunOptions ro;
+  ro.swapin_policy = options.policy;
+  if (!runtime.run(swap_all, ro).ok) {
+    ro.swapin_policy = sim::SwapInPolicy::kOnDemand;
+    if (!runtime.run(swap_all, ro).ok) {
+      POOCH_LOG_WARN("profiling impossible: swap-all OOMs even with "
+                     "on-demand scheduling");
+      return profile;
     }
+    POOCH_LOG_INFO("profiler fell back to on-demand swap-ins");
   }
 
-  std::vector<int> d2h_samples(nv, 0), h2d_samples(nv, 0);
-  std::vector<int> fwd_samples(nn, 0), bwd_samples(nn, 0);
-  double xfer_bytes = 0.0, xfer_seconds = 0.0;
+  // Per-op sums and sample counts over the iterations.
+  std::vector<double> fwd(nn, 0.0), bwd(nn, 0.0), d2h(nv, 0.0), h2d(nv, 0.0);
+  std::vector<int> fwd_n(nn, 0), bwd_n(nn, 0), d2h_n(nv, 0), h2d_n(nv, 0);
+  double update = 0.0, xfer_bytes = 0.0, xfer_seconds = 0.0;
 
+  ro.record_timeline = true;
   for (int it = 0; it < options.iterations; ++it) {
-    sim::RunOptions ro;
-    ro.swapin_policy = data.policy_used;
-    ro.record_timeline = true;
     ro.iteration = static_cast<std::uint64_t>(it);
     const sim::RunResult r = runtime.run(swap_all, ro);
     POOCH_CHECK_MSG(r.ok, "profiling iteration failed: " << r.failure);
-    data.profiled_seconds += r.iteration_time;
+    profile.record_iteration_seconds(r.iteration_time);
 
     for (const auto& op : r.timeline.ops) {
       const double dur = op.end - op.start;
+      const std::size_t ni = static_cast<std::size_t>(op.node);
+      const std::size_t vi = static_cast<std::size_t>(op.value);
       switch (op.kind) {
-        case sim::OpKind::kForward: {
-          const std::size_t ni = static_cast<std::size_t>(op.node);
-          data.forward_time[ni] += dur;
-          ++fwd_samples[ni];
+        case sim::OpKind::kForward:
+          fwd[ni] += dur;
+          ++fwd_n[ni];
           break;
-        }
-        case sim::OpKind::kBackward: {
-          const std::size_t ni = static_cast<std::size_t>(op.node);
-          data.backward_time[ni] += dur;
-          ++bwd_samples[ni];
+        case sim::OpKind::kBackward:
+          bwd[ni] += dur;
+          ++bwd_n[ni];
           break;
-        }
-        case sim::OpKind::kSwapOut: {
-          const std::size_t vi = static_cast<std::size_t>(op.value);
-          data.d2h_time[vi] += dur;
-          ++d2h_samples[vi];
-          xfer_bytes += static_cast<double>(graph.value(op.value).byte_size());
-          xfer_seconds += dur;
-          break;
-        }
+        case sim::OpKind::kSwapOut:
         case sim::OpKind::kSwapIn: {
-          const std::size_t vi = static_cast<std::size_t>(op.value);
-          data.h2d_time[vi] += dur;
-          ++h2d_samples[vi];
+          const bool out = op.kind == sim::OpKind::kSwapOut;
+          (out ? d2h : h2d)[vi] += dur;
+          ++(out ? d2h_n : h2d_n)[vi];
           xfer_bytes += static_cast<double>(graph.value(op.value).byte_size());
           xfer_seconds += dur;
           break;
         }
         case sim::OpKind::kUpdate:
-          data.update_time += dur;
+          update += dur;
           break;
         case sim::OpKind::kRecompute:
           break;  // none under swap-all
       }
     }
-    for (ValueId v : r.unhidden_swapouts) {
-      if (std::find(data.unhidden_swapouts.begin(),
-                    data.unhidden_swapouts.end(),
-                    v) == data.unhidden_swapouts.end()) {
-        data.unhidden_swapouts.push_back(v);
-      }
-    }
-    for (ValueId v : r.unhidden_swapins) {
-      if (std::find(data.unhidden_swapins.begin(), data.unhidden_swapins.end(),
-                    v) == data.unhidden_swapins.end()) {
-        data.unhidden_swapins.push_back(v);
-      }
-    }
   }
 
-  for (std::size_t i = 0; i < nn; ++i) {
-    if (fwd_samples[i] > 0) data.forward_time[i] /= fwd_samples[i];
-    if (bwd_samples[i] > 0) data.backward_time[i] /= bwd_samples[i];
+  // One sample per op: its mean over the iterations.
+  for (graph::NodeId n = 0; n < graph.num_nodes(); ++n) {
+    const std::size_t i = static_cast<std::size_t>(n);
+    if (fwd_n[i] > 0) profile.record_forward(n, fwd[i] / fwd_n[i]);
+    if (bwd_n[i] > 0) profile.record_backward(n, bwd[i] / bwd_n[i]);
   }
-  for (std::size_t i = 0; i < nv; ++i) {
-    if (d2h_samples[i] > 0) data.d2h_time[i] /= d2h_samples[i];
-    if (h2d_samples[i] > 0) data.h2d_time[i] /= h2d_samples[i];
-  }
-  data.update_time /= options.iterations;
+  // A value never moved while profiling is priced from the effective
+  // host-device bandwidth the moved ones achieved.
   if (xfer_seconds > 0.0) {
-    data.observed_bytes_per_sec = xfer_bytes / xfer_seconds;
-    data.observed_latency = machine.link_latency_s;
+    const double bytes_per_sec = xfer_bytes / xfer_seconds;
+    for (ValueId v = 0; v < graph.num_values(); ++v) {
+      const std::size_t i = static_cast<std::size_t>(v);
+      const double unmoved =
+          static_cast<double>(graph.value(v).byte_size()) / bytes_per_sec +
+          machine.link_latency_s;
+      profile.record_d2h(v, d2h_n[i] > 0 ? d2h[i] / d2h_n[i] : unmoved);
+      profile.record_h2d(v, h2d_n[i] > 0 ? h2d[i] / h2d_n[i] : unmoved);
+    }
   }
-  std::sort(data.unhidden_swapouts.begin(), data.unhidden_swapouts.end());
-  std::sort(data.unhidden_swapins.begin(), data.unhidden_swapins.end());
+  profile.record_update(update / options.iterations);
 
-  POOCH_LOG_INFO("profiled " << options.iterations << " iterations, "
-                             << data.profiled_seconds << "s simulated, |L_O|="
-                             << data.unhidden_swapouts.size() << " |L_I|="
-                             << data.unhidden_swapins.size());
-  return data;
+  POOCH_LOG_INFO("profiled " << options.iterations << " iterations, median "
+                             << profile.iteration_seconds()
+                             << "s simulated each");
+  return profile;
 }
 
 }  // namespace pooch::profile

@@ -2,18 +2,22 @@
 //
 // PoocH's first phase runs a few training iterations with the safe
 // default classification (everything swapped) and records, per layer and
-// per feature map, what it observed: forward/backward kernel times,
-// swap-out/swap-in transfer times, and which swaps the pipeline failed to
-// hide. The classifier then plans against these *measurements* — not
-// against the hardware model — preserving the paper's
-// profile -> classify -> execute structure even though our "hardware" is
-// the roofline model (observed through the same virtual runtime, with
-// optional measurement noise).
+// per feature map, what it observed: forward/backward kernel times and
+// swap-out/swap-in transfer times. The classifier then plans against
+// these *measurements* — not against the hardware model — preserving the
+// paper's profile -> classify -> execute structure even though our
+// "hardware" is the roofline model (observed through the same virtual
+// runtime, with optional measurement noise).
+//
+// The result is the same MeasuredProfile the wall-clock profiler fills
+// (measured_profile.hpp), served to the planner through
+// cost::CalibratedTimeModel: one profile format, one table model.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "profile/measured_profile.hpp"
 #include "sim/runtime.hpp"
 #include "sim/time_model.hpp"
 
@@ -29,46 +33,21 @@ struct ProfileOptions {
   sim::SwapInPolicy policy = sim::SwapInPolicy::kEagerMemoryAware;
 };
 
-struct ProfileData {
-  /// False when no profiling iteration could complete (even swap-all
-  /// with on-demand scheduling OOMs): the workload is out of reach.
-  bool ok = true;
-  /// Scheduling actually used (falls back to on-demand under pressure).
-  sim::SwapInPolicy policy_used = sim::SwapInPolicy::kEagerMemoryAware;
-
-  // Averaged observations.
-  std::vector<double> forward_time;   // per node
-  std::vector<double> backward_time;  // per node
-  std::vector<double> d2h_time;       // per value (0 if never observed)
-  std::vector<double> h2d_time;       // per value
-  double update_time = 0.0;
-
-  // Union over iterations of the unhidden swap sets (Figure 11 evidence).
-  std::vector<graph::ValueId> unhidden_swapouts;
-  std::vector<graph::ValueId> unhidden_swapins;
-
-  /// Simulated wall time spent inside the profiled iterations.
-  double profiled_seconds = 0.0;
-  int iterations = 0;
-
-  /// Effective host-device bandwidth observed across all transfers; used
-  /// to estimate times for maps that were never swapped during profiling.
-  double observed_bytes_per_sec = 0.0;
-  double observed_latency = 0.0;
-
-  /// Build the fixed time table the classifier simulates against.
-  /// Transfer entries that were never observed are filled from the
-  /// observed effective bandwidth.
-  sim::TableTimeModel to_time_model(const graph::Graph& graph) const;
-};
-
 /// Run the profiling phase. `ground_truth` is the hardware being
-/// observed; measurements pass through NoisyTimeModel jitter and are
-/// averaged over the iterations.
-ProfileData run_profiler(const graph::Graph& graph,
-                         const std::vector<graph::BwdStep>& tape,
-                         const cost::MachineConfig& machine,
-                         const sim::TimeModel& ground_truth,
-                         const ProfileOptions& options = {});
+/// observed; measurements pass through NoisyTimeModel jitter.
+///
+/// Each op's observations are averaged over the iterations and the mean
+/// is recorded as its single sample, so the profile's median serves the
+/// mean exactly. Every value is priced for both transfer directions: a
+/// value never moved during profiling gets bytes / observed effective
+/// bandwidth + link latency. Each simulated iteration time is recorded
+/// with record_iteration_seconds. The profile is empty
+/// (iterations_recorded() == 0) when even swap-all with on-demand
+/// swap-ins runs out of memory: the workload is out of reach.
+MeasuredProfile run_profiler(const graph::Graph& graph,
+                             const std::vector<graph::BwdStep>& tape,
+                             const cost::MachineConfig& machine,
+                             const sim::TimeModel& ground_truth,
+                             const ProfileOptions& options = {});
 
 }  // namespace pooch::profile

@@ -2,12 +2,12 @@
 //
 // The runtime asks a TimeModel how long each kernel and each transfer
 // takes; everything else (overlap, stalls, memory waits) emerges from the
-// discrete-event schedule. Three implementations:
+// discrete-event schedule. Two implementations live here:
 //   CostTimeModel   — the analytic roofline model ("ground truth" hardware)
 //   NoisyTimeModel  — wraps another model with multiplicative measurement
 //                     noise; this is what the profiling iterations observe
-//   TableTimeModel  — fixed per-op tables; built from averaged profiles
-//                     (see profile/) and used by the PoocH classifier
+// The PoocH classifier plans against a third, cost::CalibratedTimeModel,
+// which serves a profile::MeasuredProfile — simulated or wall clock.
 #pragma once
 
 #include <memory>
@@ -75,24 +75,6 @@ class NoisyTimeModel : public TimeModel {
   const TimeModel& base_;
   double sigma_;
   mutable Rng rng_;
-};
-
-/// Fixed per-op tables (averaged profiling measurements).
-class TableTimeModel : public TimeModel {
- public:
-  TableTimeModel(std::vector<double> fwd, std::vector<double> bwd,
-                 std::vector<double> d2h, std::vector<double> h2d,
-                 double update);
-
-  double forward_time(graph::NodeId node) const override;
-  double backward_time(graph::NodeId node) const override;
-  double d2h_time(graph::ValueId value) const override;
-  double h2d_time(graph::ValueId value) const override;
-  double update_time() const override;
-
- private:
-  std::vector<double> fwd_, bwd_, d2h_, h2d_;
-  double update_;
 };
 
 }  // namespace pooch::sim

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "cost/calibrated_time_model.hpp"
 #include "cost/cost_model.hpp"
@@ -102,6 +105,56 @@ TEST(MeasuredProfile, RecordRunMapsOpTypes) {
   // forward + recompute = two forward samples for node 0.
   EXPECT_EQ(p.total_samples(), 7);  // 2 fwd + bwd + d2h + h2d + upd + iter
   EXPECT_DOUBLE_EQ(p.compute_coverage(), 1.0);
+}
+
+/// Every record_* must refuse a duration that is not a finite,
+/// non-negative number of seconds, naming the op; 0 is a valid duration.
+void expect_rejects_bad_seconds(
+    const std::function<void(MeasuredProfile&, double)>& record,
+    const std::string& op_name) {
+  MeasuredProfile p(3, 3);
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1e-9}) {
+    try {
+      record(p, bad);
+      ADD_FAILURE() << op_name << " accepted " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(op_name), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(p.total_samples(), 0);
+  record(p, 0.0);
+  EXPECT_EQ(p.total_samples(), 1);
+}
+
+TEST(MeasuredProfile, RecordForwardRejectsBadSeconds) {
+  expect_rejects_bad_seconds(
+      [](MeasuredProfile& p, double s) { p.record_forward(2, s); },
+      "forward of node 2");
+}
+TEST(MeasuredProfile, RecordBackwardRejectsBadSeconds) {
+  expect_rejects_bad_seconds(
+      [](MeasuredProfile& p, double s) { p.record_backward(1, s); },
+      "backward of node 1");
+}
+TEST(MeasuredProfile, RecordD2hRejectsBadSeconds) {
+  expect_rejects_bad_seconds(
+      [](MeasuredProfile& p, double s) { p.record_d2h(2, s); },
+      "d2h of value 2");
+}
+TEST(MeasuredProfile, RecordH2dRejectsBadSeconds) {
+  expect_rejects_bad_seconds(
+      [](MeasuredProfile& p, double s) { p.record_h2d(0, s); },
+      "h2d of value 0");
+}
+TEST(MeasuredProfile, RecordUpdateRejectsBadSeconds) {
+  expect_rejects_bad_seconds(
+      [](MeasuredProfile& p, double s) { p.record_update(s); }, "update");
+}
+TEST(MeasuredProfile, RecordIterationSecondsRejectsBadSeconds) {
+  expect_rejects_bad_seconds(
+      [](MeasuredProfile& p, double s) { p.record_iteration_seconds(s); },
+      "iteration");
 }
 
 /// Tiny model + machine rig for the calibrated-model tests.

@@ -336,30 +336,44 @@ TEST(ExecutePlan, TrainsExactlyOneIteration) {
 }
 
 TEST(Profiler, RecordsThePolicyItActuallyUsed) {
-  // Under normal conditions the eager policy profiles fine and is
-  // recorded as used; the on-demand fallback exists for the (now rare,
-  // thanks to the rescue chain) configurations where eager swap-all
-  // cannot fit. The hard-failure path is covered by
-  // ReportsFailureWhenNothingFits below.
+  // Under normal conditions the eager policy profiles fine; the
+  // on-demand fallback exists for the (now rare, thanks to the rescue
+  // chain) configurations where eager swap-all cannot fit. The
+  // hard-failure path is covered by ReportsFailureWhenNothingFits below.
+  // Without noise, the recorded iteration times are exactly those of
+  // swap-all under the policy the profiler ran.
   Rig rig(models::paper_example(16, 56, 64), 96, 1.0);
+  const Classification swap_all(rig.g, ValueClass::kSwap);
+  profile::ProfileOptions eager;
+  eager.noise_sigma = 0.0;
   const auto data =
-      profile::run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, {});
-  ASSERT_TRUE(data.ok);
-  EXPECT_EQ(data.policy_used, SwapInPolicy::kEagerMemoryAware);
+      profile::run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, eager);
+  ASSERT_EQ(data.iterations_recorded(), eager.iterations);
+  const auto eager_run = rig.rt->run(swap_all);
+  ASSERT_TRUE(eager_run.ok);
+  EXPECT_EQ(data.iteration_seconds(), eager_run.iteration_time);
   // Requesting on-demand profiling is honoured as-is.
-  profile::ProfileOptions od;
+  profile::ProfileOptions od = eager;
   od.policy = SwapInPolicy::kOnDemand;
   const auto data2 =
       profile::run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, od);
-  ASSERT_TRUE(data2.ok);
-  EXPECT_EQ(data2.policy_used, SwapInPolicy::kOnDemand);
+  ASSERT_EQ(data2.iterations_recorded(), od.iterations);
+  RunOptions od_run;
+  od_run.swapin_policy = SwapInPolicy::kOnDemand;
+  const auto od_result = rig.rt->run(swap_all, od_run);
+  ASSERT_TRUE(od_result.ok);
+  EXPECT_EQ(data2.iteration_seconds(), od_result.iteration_time);
+  EXPECT_GT(data2.iteration_seconds(), data.iteration_seconds());
 }
 
 TEST(Profiler, ReportsFailureWhenNothingFits) {
+  // Even swap-all with on-demand swap-ins OOMs: the profile stays empty
+  // and the pipeline reports failure instead of planning on nothing.
   Rig rig(models::paper_example(16, 56, 64), 16, 1.0);
   const auto data =
       profile::run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, {});
-  EXPECT_FALSE(data.ok);
+  EXPECT_EQ(data.iterations_recorded(), 0);
+  EXPECT_EQ(data.total_samples(), 0);
   planner::PipelineOptions po;
   const auto out =
       planner::run_pooch(rig.g, rig.tape, rig.machine, *rig.tm, po);

@@ -7,6 +7,7 @@
 // Prints the run outcome (throughput, peak memory, stalls), optionally the
 // classification and an ASCII timeline. `--method all` compares every
 // method on the same workload.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +32,17 @@
 using namespace pooch;
 
 namespace {
+
+/// The simulated methods, in the order `--method all` runs them.
+constexpr const char* kMethods[] = {"incore",       "swap-all-naive",
+                                    "swap-all",     "swap-opt",
+                                    "superneurons", "vdnn",
+                                    "sublinear",    "pooch"};
+
+bool known_method(const std::string& m) {
+  return m == "all" || m == "exec" ||
+         std::ranges::find(kMethods, m) != std::end(kMethods);
+}
 
 struct CliOptions {
   std::string model = "resnet50";
@@ -79,7 +91,8 @@ void usage() {
       "  --gpu-gb G      override device memory (GiB)\n"
       "  --link-gbps B   override interconnect bandwidth\n"
       "  --method M      incore | swap-all | swap-all-naive | swap-opt |\n"
-      "                  superneurons | vdnn | sublinear | pooch | all\n"
+      "                  superneurons | vdnn | sublinear | pooch | exec |\n"
+      "                  all\n"
       "  --threads N     parallelize the planner's classification search\n"
       "                  over N threads (0 = one per core, default 1);\n"
       "                  the chosen plan is identical at any setting\n"
@@ -210,6 +223,12 @@ bool parse_args(int argc, char** argv, CliOptions& o) {
       std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
       return false;
     }
+  }
+  if (!known_method(o.method)) {
+    std::fprintf(stderr, "unknown method: %s (valid:", o.method.c_str());
+    for (const char* k : kMethods) std::fprintf(stderr, " %s", k);
+    std::fprintf(stderr, " exec all)\n");
+    return false;
   }
   return true;
 }
@@ -628,8 +647,7 @@ void run_method(Context& ctx, const std::string& method) {
       ctx.exit_status = 1;
     }
   } else {
-    std::fprintf(stderr, "unknown method: %s\n", method.c_str());
-    return;
+    throw Error("unknown method: " + method);  // parse_args rejects these
   }
   if (data && ran) verify_kernel_run(ctx, *data);
 }
@@ -664,11 +682,7 @@ int main(int argc, char** argv) {
     if (o.measured_profile) {
       run_measured_profile(ctx);
     } else if (o.method == "all") {
-      for (const char* m : {"incore", "swap-all-naive", "swap-all",
-                            "swap-opt", "superneurons", "vdnn", "sublinear",
-                            "pooch"}) {
-        run_method(ctx, m);
-      }
+      for (const char* m : kMethods) run_method(ctx, m);
     } else {
       run_method(ctx, o.method);
     }
