@@ -94,6 +94,16 @@ std::int64_t chunk_samples(const ConvGeom& g) {
   return chunks <= 1 ? cap : (g.batch + chunks - 1) / chunks;
 }
 
+// 1x1, stride 1, unpadded: the column matrix of a chunk is the chunk of
+// input itself, so the GEMMs read (and dX is written) in place in NCHW,
+// with no im2col, col2im or column buffer.
+bool pointwise(const ConvAttrs& a) {
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (a.kernel[i] != 1 || a.stride[i] != 1 || a.pad[i] != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Shape conv_output_shape(const Shape& input_shape, const ConvAttrs& attrs) {
@@ -131,26 +141,32 @@ void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
   const std::int64_t pixels = g.col.cols();
   const std::int64_t chunk = chunk_samples(g);
   const std::int64_t out_stride = g.out_sample_stride(attrs.out_channels);
-  float* col = ctx.scratch(0, KernelContext::kColArena,
-                           static_cast<std::size_t>(rows * chunk * pixels));
+  const bool direct = pointwise(attrs);
+  float* col = direct ? nullptr
+                      : ctx.scratch(0, KernelContext::kColArena,
+                                    static_cast<std::size_t>(rows * chunk *
+                                                             pixels));
   ThreadPool* pool = ctx.pool();
 
   for (std::int64_t n0 = 0; n0 < g.batch; n0 += chunk) {
     const std::int64_t cn = std::min(chunk, g.batch - n0);
     for (std::int64_t grp = 0; grp < g.groups; ++grp) {
-      im2col(x.data() + n0 * g.in_sample_stride() + grp * g.in_group_stride(),
-             col, g.col, pool, cn, g.in_sample_stride());
+      const float* x0 =
+          x.data() + n0 * g.in_sample_stride() + grp * g.in_group_stride();
+      if (!direct) im2col(x0, col, g.col, pool, cn, g.in_sample_stride());
       // Y_g (og, cn*pixels) = W_g * col, written in place into NCHW.
-      detail::gemm({.a = w.data() + grp * g.og * rows,
-                    .b = col,
-                    .c = y.data() + n0 * out_stride + grp * g.og * pixels,
-                    .m = g.og,
-                    .k = rows,
-                    .n = cn * pixels,
-                    .la = Operand::plain(rows),
-                    .lb = Operand::plain(cn * pixels),
-                    .lc = Operand::segmented(pixels, out_stride)},
-                   ctx);
+      detail::gemm(
+          {.a = w.data() + grp * g.og * rows,
+           .b = direct ? x0 : col,
+           .c = y.data() + n0 * out_stride + grp * g.og * pixels,
+           .m = g.og,
+           .k = rows,
+           .n = cn * pixels,
+           .la = Operand::plain(rows),
+           .lb = direct ? Operand::segmented(pixels, g.in_sample_stride())
+                        : Operand::plain(cn * pixels),
+           .lc = Operand::segmented(pixels, out_stride)},
+          ctx);
     }
   }
   if (attrs.has_bias) {
@@ -178,54 +194,69 @@ void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
   const std::int64_t rows = g.col.rows();
   const std::int64_t pixels = g.col.cols();
   const std::int64_t chunk = chunk_samples(g);
+  const std::int64_t in_stride = g.in_sample_stride();
   const std::int64_t out_stride = g.out_sample_stride(attrs.out_channels);
+  const bool direct = pointwise(attrs);
   // One buffer holds the chunk's columns for dW, then its column
   // gradient for dX.
-  float* col = ctx.scratch(0, KernelContext::kColArena,
-                           static_cast<std::size_t>(rows * chunk * pixels));
+  float* col = direct ? nullptr
+                      : ctx.scratch(0, KernelContext::kColArena,
+                                    static_cast<std::size_t>(rows * chunk *
+                                                             pixels));
   ThreadPool* pool = ctx.pool();
-
-  dw.zero();
-  if (dx) dx->zero();
 
   for (std::int64_t n0 = 0; n0 < g.batch; n0 += chunk) {
     const std::int64_t cn = std::min(chunk, g.batch - n0);
     const std::int64_t cols = cn * pixels;
     const float* dy0 = dy.data() + n0 * out_stride;
     const Operand dy_chunk = Operand::segmented(pixels, out_stride);
+    if (dx && !direct) {
+      // col2im accumulates: the chunk's dX starts from zero.
+      float* d0 = dx->data() + n0 * in_stride;
+      parallel_for(pool, cn * in_stride, 1 << 14,
+                   [&](std::int64_t i0, std::int64_t i1, int) {
+                     std::fill(d0 + i0, d0 + i1, 0.0f);
+                   });
+    }
     for (std::int64_t grp = 0; grp < g.groups; ++grp) {
-      const std::int64_t in_off =
-          n0 * g.in_sample_stride() + grp * g.in_group_stride();
-      im2col(x.data() + in_off, col, g.col, pool, cn, g.in_sample_stride());
-      // dW_g (og, rows) += dY_g (og, cols) * col^T (cols, rows). Each dW
-      // element's k-chain runs sample-major over the chunk's columns:
+      const std::int64_t in_off = n0 * in_stride + grp * g.in_group_stride();
+      const float* x0 = x.data() + in_off;
+      if (!direct) im2col(x0, col, g.col, pool, cn, in_stride);
+      // dW_g (og, rows) = dY_g (og, cols) * col^T (cols, rows), written
+      // by the first chunk and accumulated by the rest. Each dW element's
+      // k-chain starts from +0 and runs sample-major over the columns:
       // exactly the per-sample matmul_bt_acc sequence of the reference.
-      detail::gemm({.a = dy0 + grp * g.og * pixels,
-                    .b = col,
-                    .c = dw.data() + grp * g.og * rows,
-                    .m = g.og,
-                    .k = cols,
-                    .n = rows,
-                    .la = dy_chunk,
-                    .lb = Operand::transposed(cols),
-                    .lc = Operand::plain(rows),
-                    .overwrite = false},
-                   ctx);
+      detail::gemm(
+          {.a = dy0 + grp * g.og * pixels,
+           .b = direct ? x0 : col,
+           .c = dw.data() + grp * g.og * rows,
+           .m = g.og,
+           .k = cols,
+           .n = rows,
+           .la = dy_chunk,
+           .lb = direct ? Operand::segmented_transposed(pixels, in_stride)
+                        : Operand::transposed(cols),
+           .lc = Operand::plain(rows),
+           .overwrite = n0 == 0},
+          ctx);
       if (dx) {
         // col_grad (rows, cols) = W_g^T (rows, og) * dY_g (og, cols),
-        // overwriting the columns dW no longer needs.
-        detail::gemm({.a = w.data() + grp * g.og * rows,
-                      .b = dy0 + grp * g.og * pixels,
-                      .c = col,
-                      .m = rows,
-                      .k = g.og,
-                      .n = cols,
-                      .la = Operand::transposed(rows),
-                      .lb = dy_chunk,
-                      .lc = Operand::plain(cols)},
-                     ctx);
-        col2im(col, dx->data() + in_off, g.col, pool, cn,
-               g.in_sample_stride());
+        // overwriting the columns dW no longer needs — or, pointwise,
+        // written straight into dX (0 + v is v: the chain never yields -0).
+        detail::gemm(
+            {.a = w.data() + grp * g.og * rows,
+             .b = dy0 + grp * g.og * pixels,
+             .c = direct ? dx->data() + in_off : col,
+             .m = rows,
+             .k = g.og,
+             .n = cols,
+             .la = Operand::transposed(rows),
+             .lb = dy_chunk,
+             .lc = direct ? Operand::segmented(pixels, in_stride)
+                          : Operand::plain(cols)},
+            ctx);
+        if (!direct) col2im(col, dx->data() + in_off, g.col, pool, cn,
+                            in_stride);
       }
     }
   }

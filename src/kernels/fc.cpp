@@ -6,6 +6,8 @@
 
 namespace pooch::kernels {
 
+using detail::Operand;
+
 Shape fc_output_shape(const Shape& input_shape, const FcAttrs& attrs) {
   const Shape flat = input_shape.flatten2d();
   POOCH_CHECK(attrs.out_features > 0);
@@ -29,7 +31,17 @@ void fc_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
   KernelTimer timer(ctx, "fc_forward");
 
   // y = x (N,In) * W^T (In,Out): overwrite store — no zero + re-read pass.
-  matmul_bt(x.data(), w.data(), y.data(), batch, in_f, out_f, ctx);
+  // The GEMM core directly, not matmul_bt: that would time itself too.
+  detail::gemm({.a = x.data(),
+                .b = w.data(),
+                .c = y.data(),
+                .m = batch,
+                .k = in_f,
+                .n = out_f,
+                .la = Operand::plain(in_f),
+                .lb = Operand::transposed(in_f),
+                .lc = Operand::plain(out_f)},
+               ctx);
   if (attrs.has_bias) {
     float* yp = y.data();
     parallel_for(ctx.pool(), batch, 4,
@@ -56,10 +68,28 @@ void fc_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
   KernelTimer timer(ctx, "fc_backward");
 
   // dW (Out,In) = dY^T (Out,N) * X (N,In)
-  matmul_at(dy.data(), x.data(), dw.data(), out_f, batch, in_f, ctx);
+  detail::gemm({.a = dy.data(),
+                .b = x.data(),
+                .c = dw.data(),
+                .m = out_f,
+                .k = batch,
+                .n = in_f,
+                .la = Operand::transposed(out_f),
+                .lb = Operand::plain(in_f),
+                .lc = Operand::plain(in_f)},
+               ctx);
   if (dx) {
     // dX (N,In) = dY (N,Out) * W (Out,In)
-    matmul(dy.data(), w.data(), dx->data(), batch, out_f, in_f, ctx);
+    detail::gemm({.a = dy.data(),
+                  .b = w.data(),
+                  .c = dx->data(),
+                  .m = batch,
+                  .k = out_f,
+                  .n = in_f,
+                  .la = Operand::plain(out_f),
+                  .lb = Operand::plain(in_f),
+                  .lc = Operand::plain(in_f)},
+                 ctx);
   }
   if (attrs.has_bias && dbias) {
     // Output features are independent accumulators; inside each the

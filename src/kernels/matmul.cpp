@@ -44,7 +44,8 @@ std::int64_t run_length(const Operand& o, std::int64_t c, std::int64_t len) {
 
 // Columns [c0, c0 + len) of a non-transposed operand (len <= KC) as
 // contiguous runs: run r holds count[r] columns from c0 + first[r] on,
-// starting at row-0 offset offset[r].
+// starting at row-0 offset offset[r]. Of a transposed operand the same
+// describes rows [c0, c0 + len): the columns of the stored matrix.
 struct ColumnRuns {
   std::int64_t first[kKC], offset[kKC], count[kKC];
   int size = 0;
@@ -64,15 +65,23 @@ struct ColumnRuns {
 void pack_b(const GemmShape& g, std::int64_t k0, std::int64_t kc,
             std::int64_t j0, std::int64_t nc, float* bp) {
   const Operand& lb = g.lb;
+  // Rows k0..k0+kc of a transposed B as runs of every stored row.
+  const ColumnRuns k_runs(lb, k0, lb.trans ? kc : 0);
   for (std::int64_t jb = 0; jb * kNR < nc; ++jb) {
     float* panel = bp + jb * kc * kNR;
     const std::int64_t jj = j0 + jb * kNR;
     const std::int64_t jw = std::min(kNR, nc - jb * kNR);
     if (lb.trans) {
-      // Column j of B is a contiguous stored row.
+      // Column j of B is a stored row, contiguous within each run.
       for (std::int64_t jr = 0; jr < jw; ++jr) {
-        const float* src = g.b + (jj + jr) * lb.ld + k0;
-        for (std::int64_t p = 0; p < kc; ++p) panel[p * kNR + jr] = src[p];
+        const float* row = g.b + (jj + jr) * lb.ld;
+        for (int r = 0; r < k_runs.size; ++r) {
+          const float* src = row + k_runs.offset[r];
+          float* dst = panel + k_runs.first[r] * kNR + jr;
+          for (std::int64_t q = 0; q < k_runs.count[r]; ++q) {
+            dst[q * kNR] = src[q];
+          }
+        }
       }
     } else {
       // Rows of B are contiguous within each column run: copy run by run.

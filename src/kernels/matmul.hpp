@@ -68,6 +68,9 @@ namespace detail {
 ///   segmented:   columns come in runs of `seg`; run q starts at
 ///                q * seg_stride and element (r, c) sits at
 ///                (c / seg) * seg_stride + r * ld + c % seg.
+///   segmented_transposed: the transpose of a segmented matrix, element
+///                (r, c) at (r / seg) * seg_stride + c * ld + r % seg.
+///                Only B may be segmented and transposed.
 /// A segmented operand is a chunk of NCHW samples read or written in
 /// place as one (channels x samples*pixels) matrix: seg = ld = pixels
 /// per sample, seg_stride = one sample's floats.
@@ -81,6 +84,10 @@ struct Operand {
   static Operand transposed(std::int64_t ld) { return {ld, true, 0, 0}; }
   static Operand segmented(std::int64_t seg, std::int64_t seg_stride) {
     return {seg, false, seg, seg_stride};
+  }
+  static Operand segmented_transposed(std::int64_t seg,
+                                      std::int64_t seg_stride) {
+    return {seg, true, seg, seg_stride};
   }
 };
 

@@ -115,13 +115,15 @@ void pool_forward_planes(const Tensor& x, Tensor& y, const PoolAttrs& attrs,
 void pool_backward_planes(const Tensor& x, const Tensor& dy, Tensor& dx,
                           const PoolAttrs& attrs, const PoolGeom& g,
                           ThreadPool* pool) {
-  dx.zero();
   const float* xp = x.data();
   const float* dyp = dy.data();
   float* dxp = dx.data();
   const std::int64_t hw = g.in[1] * g.in[2];
+  const std::int64_t plane = g.in[0] * hw;
   parallel_for(pool, g.batch * g.channels, 1, [&](std::int64_t p0,
                                                   std::int64_t p1, int) {
+    // Windows scatter-add into dX: each block zeroes its own planes.
+    std::fill(dxp + p0 * plane, dxp + p1 * plane, 0.0f);
     for_each_window(
         g, attrs, p0, p1,
         [&](std::int64_t in_base, std::int64_t out_idx, std::int64_t d0,

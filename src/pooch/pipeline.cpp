@@ -352,6 +352,7 @@ MeasuredPipelineResult run_pooch_measured(
     stats->gauge("calibration.last.calibrated_error")
         .set(out.calibrated_error);
   }
+  if (stats) data.publish_memory(*stats);
   out.ok = out.bit_identical;
   if (!out.ok && out.failure.empty()) {
     out.failure = "measured execution not bit-identical to in-core";

@@ -1,5 +1,6 @@
 #include "sim/data_backend.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "kernels/fc.hpp"
 #include "kernels/pool.hpp"
 #include "kernels/softmax.hpp"
+#include "obs/stats.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace pooch::sim {
@@ -43,8 +45,9 @@ DataBackend::DataBackend(const Graph& graph, std::uint64_t seed, float lr,
     auto& ps = params_[static_cast<std::size_t>(n.id)];
     auto& gs = param_grads_[static_cast<std::size_t>(n.id)];
     for (std::size_t i = 0; i < shapes.size(); ++i) {
-      Tensor p(shapes[i]);
-      Tensor g(shapes[i]);
+      Tensor p = fresh(shapes[i]);
+      Tensor g = fresh(shapes[i]);
+      g.zero();
       if (n.kind == LayerKind::kBatchNorm) {
         p.fill(i == 0 ? 1.0f : 0.0f);  // gamma, beta
       } else if (shapes[i].rank() >= 2) {
@@ -61,10 +64,10 @@ DataBackend::DataBackend(const Graph& graph, std::uint64_t seed, float lr,
 
   // Synthetic inputs: a pristine copy survives across iterations.
   for (ValueId in : graph.inputs()) {
-    Tensor t(graph.value(in).shape);
+    Tensor t = fresh(graph.value(in).shape);
     fill_uniform(t, rng, -1.0f, 1.0f);
-    input_batch_.push_back(t);
-    values_[static_cast<std::size_t>(in)] = std::move(t);
+    values_[static_cast<std::size_t>(in)] = copy_of(t);
+    input_batch_.push_back(std::move(t));
   }
 
   // Labels for the loss layer (if present): derived from the logits shape.
@@ -99,35 +102,94 @@ kernels::KernelContext& DataBackend::kctx() const {
   return ctx_ ? *ctx_ : kernels::KernelContext::serial();
 }
 
+Tensor DataBackend::fresh(const Shape& shape) {
+  const std::int64_t n = shape.numel();
+  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(float);
+  Tensor::Storage storage;
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    SizeClass& c = pool_[n];
+    if (c.free.empty()) {
+      ++c.buffers;
+    } else {
+      storage = std::move(c.free.back());
+      c.free.pop_back();
+      free_bytes_ -= bytes;
+    }
+    live_bytes_ += bytes;
+    peak_live_bytes_ = std::max(peak_live_bytes_, live_bytes_);
+  }
+  if (storage.empty()) storage.resize(static_cast<std::size_t>(n));
+  return Tensor(shape, std::move(storage));
+}
+
+Tensor DataBackend::copy_of(const Tensor& t) {
+  Tensor c = fresh(t.shape());
+  std::memcpy(c.data(), t.data(), t.byte_size());
+  return c;
+}
+
+void DataBackend::recycle(Tensor& t) {
+  if (t.empty()) return;
+  Tensor::Storage storage = t.take_storage();
+  const std::size_t bytes = storage.size() * sizeof(float);
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  SizeClass& c = pool_[static_cast<std::int64_t>(storage.size())];
+  live_bytes_ -= bytes;
+  if (c.fixed && c.buffers > c.limit) {
+    --c.buffers;  // a surplus buffer: back to malloc as `storage` dies
+    return;
+  }
+  c.free.push_back(std::move(storage));
+  free_bytes_ += bytes;
+}
+
 void DataBackend::begin_iteration() {
+  {
+    // Fix the buffer count of every size the previous iterations used.
+    // Not at the first begin: until then only the constructor allocated.
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    if (iterations_begun_++ > 0) {
+      for (auto& [n, c] : pool_) {
+        if (!c.fixed) {
+          c.limit = c.buffers;
+          c.fixed = true;
+        }
+      }
+    }
+  }
   const auto& ins = graph_.inputs();
   for (std::size_t i = 0; i < ins.size(); ++i) {
-    values_[static_cast<std::size_t>(ins[i])] = input_batch_[i];
+    Tensor& t = values_[static_cast<std::size_t>(ins[i])];
+    recycle(t);
+    t = copy_of(input_batch_[i]);
   }
 }
 
 Tensor& DataBackend::ensure_value(ValueId v) {
   Tensor& t = values_[static_cast<std::size_t>(v)];
-  if (t.numel() == 0 || t.empty()) t = Tensor(graph_.value(v).shape);
+  if (t.empty()) t = fresh(graph_.value(v).shape);
   return t;
 }
 
 Tensor& DataBackend::ensure_grad(ValueId v) {
   Tensor& t = grads_[static_cast<std::size_t>(v)];
-  if (t.numel() == 0 || t.empty()) {
-    t = Tensor(graph_.value(v).shape);
-    // The loss output's gradient is the backward seed.
-    if (v == graph_.output()) t.fill(1.0f);
+  if (t.empty()) {
+    // Read before anything writes it: zero, or the backward seed (1) for
+    // the loss output.
+    t = fresh(graph_.value(v).shape);
+    t.fill(v == graph_.output() ? 1.0f : 0.0f);
   }
   return t;
 }
 
 void DataBackend::accumulate_grad(ValueId v, Tensor contribution) {
   Tensor& t = grads_[static_cast<std::size_t>(v)];
-  if (t.numel() == 0 || t.empty()) {
+  if (t.empty()) {
     t = std::move(contribution);
   } else {
-    accumulate(t, contribution);
+    accumulate(t, contribution, kctx().pool());
+    recycle(contribution);
   }
 }
 
@@ -202,6 +264,14 @@ void DataBackend::backward(NodeId id, std::uint64_t iteration) {
   const ValueId x_id = n.inputs[0];
   const Shape& x_shape = graph_.value(x_id).shape;
   const bool want_dx = graph_.value(x_id).producer != graph::kNoNode;
+  // The input gradient contribution, when one is wanted; kernels write it
+  // in full, so it needs no zero fill. Add and Concat route dy to each of
+  // their inputs themselves.
+  const bool fans_out =
+      n.kind == LayerKind::kAdd || n.kind == LayerKind::kConcat;
+  Tensor dx;
+  if (want_dx && !fans_out) dx = fresh(x_shape);
+  Tensor* const dxp = want_dx ? &dx : nullptr;
 
   auto stored = [&](ValueId v) -> const Tensor& {
     POOCH_CHECK_MSG(value_resident(v), "backward of '"
@@ -210,108 +280,93 @@ void DataBackend::backward(NodeId id, std::uint64_t iteration) {
     return values_[static_cast<std::size_t>(v)];
   };
 
+  // Layers without parameters have nothing to compute when no input
+  // gradient is wanted.
   switch (n.kind) {
     case LayerKind::kConv: {
       const auto& a = std::get<ConvAttrs>(n.attrs);
-      Tensor dx;
-      if (want_dx) dx = Tensor(x_shape);
-      kernels::conv_backward(stored(x_id), ps[0], dy,
-                             want_dx ? &dx : nullptr, gs[0],
+      kernels::conv_backward(stored(x_id), ps[0], dy, dxp, gs[0],
                              a.has_bias ? &gs[1] : nullptr, a, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
       break;
     }
     case LayerKind::kMaxPool:
     case LayerKind::kAvgPool: {
+      if (!want_dx) break;
       const auto& a = std::get<PoolAttrs>(n.attrs);
-      Tensor dx(x_shape);
       if (a.mode == PoolMode::kMax) {
         kernels::pool_backward(stored(x_id), dy, dx, a, kctx());
       } else {
-        // Average pooling backward needs only shapes; synthesize a zero
-        // input of the right shape for the kernel's geometry checks.
-        Tensor zero_x(x_shape);
-        kernels::pool_backward(zero_x, dy, dx, a, kctx());
+        // Average pooling backward reads only the input's shape; any
+        // buffer of that shape serves the kernel's geometry checks.
+        Tensor geometry = fresh(x_shape);
+        kernels::pool_backward(geometry, dy, dx, a, kctx());
+        recycle(geometry);
       }
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
       break;
     }
-    case LayerKind::kGlobalAvgPool: {
-      Tensor dx(x_shape);
-      kernels::global_avg_pool_backward(x_shape, dy, dx, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
+    case LayerKind::kGlobalAvgPool:
+      if (want_dx) kernels::global_avg_pool_backward(x_shape, dy, dx, kctx());
       break;
-    }
-    case LayerKind::kBatchNorm: {
-      Tensor dx;
-      if (want_dx) dx = Tensor(x_shape);
-      kernels::batchnorm_backward(stored(x_id), ps[0], dy,
-                                  want_dx ? &dx : nullptr, gs[0], gs[1],
+    case LayerKind::kBatchNorm:
+      kernels::batchnorm_backward(stored(x_id), ps[0], dy, dxp, gs[0], gs[1],
                                   std::get<BatchNormAttrs>(n.attrs), kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
       break;
-    }
-    case LayerKind::kReLU: {
-      Tensor dx(x_shape);
-      kernels::relu_backward(stored(n.output), dy, dx, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
+    case LayerKind::kReLU:
+      if (want_dx) kernels::relu_backward(stored(n.output), dy, dx, kctx());
       break;
-    }
     case LayerKind::kFullyConnected: {
       const auto& a = std::get<FcAttrs>(n.attrs);
-      Tensor dx;
-      if (want_dx) dx = Tensor(x_shape);
-      kernels::fc_backward(stored(x_id), ps[0], dy, want_dx ? &dx : nullptr,
-                           gs[0], a.has_bias ? &gs[1] : nullptr, a, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
+      kernels::fc_backward(stored(x_id), ps[0], dy, dxp, gs[0],
+                           a.has_bias ? &gs[1] : nullptr, a, kctx());
       break;
     }
-    case LayerKind::kSoftmaxLoss: {
-      Tensor dx(x_shape);
-      kernels::softmax_xent_backward(stored(x_id), labels_, dy, dx, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
-      break;
-    }
-    case LayerKind::kAdd: {
-      for (ValueId in : n.inputs) {
-        if (graph_.value(in).producer == graph::kNoNode) continue;
-        Tensor d(graph_.value(in).shape);
-        std::memcpy(d.data(), dy.data(),
-                    static_cast<std::size_t>(dy.numel()) * sizeof(float));
-        accumulate_grad(in, std::move(d));
+    case LayerKind::kSoftmaxLoss:
+      if (want_dx) {
+        kernels::softmax_xent_backward(stored(x_id), labels_, dy, dx, kctx());
       }
       break;
-    }
+    case LayerKind::kAdd:
+      // dy flows to every input unchanged: added straight into a gradient
+      // that already exists, copied only to start one.
+      for (ValueId in : n.inputs) {
+        if (graph_.value(in).producer == graph::kNoNode) continue;
+        Tensor& g = grads_[static_cast<std::size_t>(in)];
+        if (g.empty()) {
+          g = copy_of(dy);
+        } else {
+          accumulate(g, dy, kctx().pool());
+        }
+      }
+      return;
     case LayerKind::kConcat: {
       std::vector<Tensor> parts;
       std::vector<Tensor*> ptrs;
       parts.reserve(n.inputs.size());
       for (ValueId in : n.inputs) {
-        parts.emplace_back(graph_.value(in).shape);
+        parts.push_back(fresh(graph_.value(in).shape));
         ptrs.push_back(&parts.back());
       }
       kernels::concat_backward(dy, ptrs, kctx());
       for (std::size_t i = 0; i < n.inputs.size(); ++i) {
-        if (graph_.value(n.inputs[i]).producer == graph::kNoNode) continue;
-        accumulate_grad(n.inputs[i], std::move(parts[i]));
+        if (graph_.value(n.inputs[i]).producer == graph::kNoNode) {
+          recycle(parts[i]);
+        } else {
+          accumulate_grad(n.inputs[i], std::move(parts[i]));
+        }
+      }
+      return;
+    }
+    case LayerKind::kFlatten:
+      if (want_dx) kernels::flatten_backward(x_shape, dy, dx, kctx());
+      break;
+    case LayerKind::kDropout:
+      if (want_dx) {
+        kernels::dropout_backward(dy, dx, std::get<DropoutAttrs>(n.attrs),
+                                  iteration, kctx());
       }
       break;
-    }
-    case LayerKind::kFlatten: {
-      Tensor dx(x_shape);
-      kernels::flatten_backward(x_shape, dy, dx, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
-      break;
-    }
-    case LayerKind::kDropout: {
-      Tensor dx(x_shape);
-      kernels::dropout_backward(dy, dx, std::get<DropoutAttrs>(n.attrs),
-                                iteration, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
-      break;
-    }
   }
-  (void)iteration;
+  if (want_dx) accumulate_grad(x_id, std::move(dx));
 }
 
 void DataBackend::swap_out(ValueId v) {
@@ -319,8 +374,9 @@ void DataBackend::swap_out(ValueId v) {
   // Move the buffer host-side instead of deep-copying: a swap-out retires
   // the device copy, and moving keeps peak footprint at one copy of the
   // tensor instead of two.
-  host_[static_cast<std::size_t>(v)] =
-      std::move(values_[static_cast<std::size_t>(v)]);
+  Tensor& h = host_[static_cast<std::size_t>(v)];
+  recycle(h);  // the previous iteration's host copy
+  h = std::move(values_[static_cast<std::size_t>(v)]);
   values_[static_cast<std::size_t>(v)] = Tensor();
 }
 
@@ -331,15 +387,17 @@ void DataBackend::swap_in(ValueId v) {
   // Copy, not move: the runtime treats a swapped-in value as a clean
   // page whose host copy stays valid — rescue eviction drops the device
   // buffer without re-writing host and re-fetches later.
-  values_[static_cast<std::size_t>(v)] = h;
+  Tensor& d = values_[static_cast<std::size_t>(v)];
+  recycle(d);
+  d = copy_of(h);
 }
 
 void DataBackend::free_value(ValueId v) {
-  values_[static_cast<std::size_t>(v)].release();
+  recycle(values_[static_cast<std::size_t>(v)]);
 }
 
 void DataBackend::free_grad(ValueId v) {
-  grads_[static_cast<std::size_t>(v)].release();
+  recycle(grads_[static_cast<std::size_t>(v)]);
 }
 
 void DataBackend::update() {
@@ -384,6 +442,8 @@ void DataBackend::apply(const exec::StreamOp& op, std::uint64_t iteration) {
       break;
     case exec::OpType::kFreeValue:
       free_value(op.value);
+      // The value's last use: its host copy is dead as well.
+      if (op.releases_host) recycle(host_[static_cast<std::size_t>(op.value)]);
       break;
     case exec::OpType::kFreeGrad:
       free_grad(op.value);
@@ -432,6 +492,23 @@ const std::vector<Tensor>& DataBackend::params(NodeId node) const {
 
 const std::vector<Tensor>& DataBackend::param_grads(NodeId node) const {
   return param_grads_[static_cast<std::size_t>(node)];
+}
+
+std::size_t DataBackend::held_bytes() const {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return live_bytes_ + free_bytes_;
+}
+
+std::size_t DataBackend::peak_live_bytes() const {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return peak_live_bytes_;
+}
+
+void DataBackend::publish_memory(obs::StatsRegistry& stats) const {
+  stats.gauge("measured.backend.held_bytes")
+      .set(static_cast<double>(held_bytes()));
+  stats.gauge("measured.backend.peak_live_bytes")
+      .set(static_cast<double>(peak_live_bytes()));
 }
 
 double DataBackend::param_norm() const {

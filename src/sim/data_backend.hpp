@@ -6,13 +6,27 @@
 // exec::AsyncExecutor. "Device" tensors live in values_/grads_; a
 // swap-out moves the buffer to host_, a swap-in copies it back.
 //
+// The backend owns and recycles its tensor storage: freed values, freed
+// gradients and backward temporaries go to a free list keyed by element
+// count, and every new tensor is drawn from it first. Recycled buffers
+// are not zero-filled; kernels write every output element, and the few
+// consumers that read before writing zero explicitly. The storage grows
+// through the first iteration; from the next begin-iteration on, the
+// number of buffers of each size is fixed. When concurrent workers
+// happen to need more at once, the extra buffer returns to malloc when
+// freed. So an iteration after the first allocates nothing, and the bytes
+// held at an iteration boundary stop changing, whatever the interleaving.
+//
 // Its purpose is verification: training under any feasible
 // classification must produce bit-identical losses, gradients and
 // updated parameters to train_incore() — a program-order loop sharing no
 // code with the scheduler, the stream or apply().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/autodiff.hpp"
@@ -23,6 +37,9 @@
 namespace pooch::exec {
 struct OpStream;
 struct StreamOp;
+}
+namespace pooch::obs {
+class StatsRegistry;
 }
 
 namespace pooch::sim {
@@ -75,6 +92,15 @@ class DataBackend {
   /// Flat L2 norm over all parameters (cheap convergence signal).
   double param_norm() const;
 
+  /// Bytes of tensor storage the backend owns: live tensors (parameters,
+  /// inputs, device and host copies, gradients) plus its free list.
+  std::size_t held_bytes() const;
+  /// The most storage bytes live at once so far (free list excluded).
+  std::size_t peak_live_bytes() const;
+  /// Publishes both as the gauges measured.backend.held_bytes and
+  /// measured.backend.peak_live_bytes.
+  void publish_memory(obs::StatsRegistry& stats) const;
+
  private:
   friend void train_incore(const graph::Graph&,
                            const std::vector<graph::BwdStep>&, DataBackend&,
@@ -96,6 +122,11 @@ class DataBackend {
   void accumulate_grad(graph::ValueId v, Tensor contribution);
   kernels::KernelContext& kctx() const;
 
+  // --- storage: every tensor the backend owns comes from here ---
+  Tensor fresh(const Shape& shape);  // contents unspecified
+  Tensor copy_of(const Tensor& t);
+  void recycle(Tensor& t);  // storage to the free list; the shape stays
+
   const graph::Graph& graph_;
   float lr_;
   kernels::KernelContext* ctx_ = nullptr;  // not owned; null = serial
@@ -111,6 +142,21 @@ class DataBackend {
   std::vector<std::vector<Tensor>> param_grads_;  // per node
   std::vector<std::int64_t> labels_;
   float last_loss_ = 0.0f;
+
+  // Storage by element count. Guarded: copy workers swap in while
+  // compute workers free.
+  struct SizeClass {
+    std::vector<Tensor::Storage> free;
+    std::size_t buffers = 0;  // live + free
+    std::size_t limit = 0;    // fixed buffer count once `fixed`
+    bool fixed = false;
+  };
+  mutable std::mutex pool_mu_;
+  std::unordered_map<std::int64_t, SizeClass> pool_;
+  int iterations_begun_ = 0;
+  std::size_t live_bytes_ = 0;
+  std::size_t free_bytes_ = 0;
+  std::size_t peak_live_bytes_ = 0;
 };
 
 /// Serial in-core training, the reference every execution is checked

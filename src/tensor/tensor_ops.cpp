@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace pooch {
 
@@ -73,12 +74,14 @@ double sum(const Tensor& t) {
   return acc;
 }
 
-void accumulate(Tensor& y, const Tensor& x) {
+void accumulate(Tensor& y, const Tensor& x, ThreadPool* pool) {
   POOCH_CHECK(y.shape() == x.shape());
   float* yp = y.data();
   const float* xp = x.data();
-  const std::int64_t n = y.numel();
-  for (std::int64_t i = 0; i < n; ++i) yp[i] += xp[i];
+  parallel_for(pool, y.numel(), 1 << 14,
+               [&](std::int64_t i0, std::int64_t i1, int) {
+                 for (std::int64_t i = i0; i < i1; ++i) yp[i] += xp[i];
+               });
 }
 
 void scale(Tensor& y, float alpha) {

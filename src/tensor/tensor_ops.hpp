@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pooch {
@@ -33,8 +34,8 @@ double l2_norm(const Tensor& t);
 /// Sum of all elements.
 double sum(const Tensor& t);
 
-/// y += x (shapes must match).
-void accumulate(Tensor& y, const Tensor& x);
+/// y += x (shapes must match), elements split over `pool` when given.
+void accumulate(Tensor& y, const Tensor& x, ThreadPool* pool = nullptr);
 
 /// y = alpha * y.
 void scale(Tensor& y, float alpha);

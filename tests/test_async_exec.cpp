@@ -357,6 +357,81 @@ TEST(AsyncExecDifferential, ResNetMixedClassification) {
   }
 }
 
+// ---- storage recycling ------------------------------------------------
+
+// The backend recycles the storage of freed values, gradients and
+// backward temporaries, so after the first iteration of a stream an
+// iteration allocates nothing: the bytes it holds stop growing, under
+// every plan and compute-worker count, and training stays bit-identical
+// to train_incore.
+TEST(AsyncExecStorage, HeldBytesStopGrowingAfterFirstIteration) {
+  constexpr int kIterations = 5;
+  int planner_covered = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    AsyncEnv roomy(testing::random_graph(seed), 8192);
+    const auto keep =
+        roomy.rt->run(Classification(roomy.g, ValueClass::kKeep));
+    ASSERT_TRUE(keep.ok);
+    // The tightest of 70..100% of the keep-all peak where swap-all fits.
+    std::unique_ptr<AsyncEnv> tight;
+    for (const std::size_t pct : {70, 80, 90, 100}) {
+      auto candidate = std::make_unique<AsyncEnv>(
+          testing::random_graph(seed),
+          std::max<std::size_t>(1, keep.peak_bytes * pct / 100 / kMiB + 1),
+          1.0);
+      if (candidate->rt
+              ->run(Classification(candidate->g, ValueClass::kSwap))
+              .ok) {
+        tight = std::move(candidate);
+        break;
+      }
+    }
+    ASSERT_TRUE(tight) << "seed " << seed;
+    planner::PoochPlanner planner(tight->g, tight->tape, tight->machine,
+                                  *tight->tm);
+    const auto plan = planner.plan();
+    const auto ref = serial_reference(roomy, kIterations);
+
+    struct Case {
+      const char* name;
+      const AsyncEnv* env;
+      Classification classes;
+    };
+    std::vector<Case> cases = {
+        {"keep-all", &roomy, Classification(roomy.g, ValueClass::kKeep)},
+        {"swap-all", tight.get(), Classification(tight->g, ValueClass::kSwap)},
+    };
+    if (plan.feasible) {
+      cases.push_back({"planner-hybrid", tight.get(), plan.classes});
+      ++planner_covered;
+    }
+    for (const Case& c : cases) {
+      for (const int compute : {1, 3}) {
+        const std::string tag = "seed " + std::to_string(seed) + " " +
+                                c.name + ", compute " +
+                                std::to_string(compute);
+        DataBackend backend(c.env->g, kSeed);
+        std::size_t held_after_2 = 0;
+        for (int i = 0; i < kIterations; ++i) {
+          RunOptions ro;
+          ro.iteration = static_cast<std::uint64_t>(i);
+          const exec::OpStream stream =
+              planner::record_op_stream(*c.env->rt, c.classes, ro);
+          const exec::AsyncExecutor executor(c.env->g, stream);
+          exec::AsyncOptions ao;
+          ao.compute_workers = compute;
+          ao.time_model = c.env->tm.get();
+          ASSERT_TRUE(executor.run(backend, ao).ok) << tag;
+          if (i == 1) held_after_2 = backend.held_bytes();
+        }
+        EXPECT_EQ(backend.held_bytes(), held_after_2) << tag;
+        expect_bit_identical(c.env->g, *ref, backend, tag);
+      }
+    }
+  }
+  EXPECT_GT(planner_covered, 0) << "planner hybrid never feasible on corpus";
+}
+
 // ---- accounting and oracle self-checks -------------------------------
 
 TEST(AsyncExecHostPool, SwapAccountingBalances) {

@@ -86,10 +86,10 @@ Classification mixed_classes(const Graph& g, int salt) {
 }
 
 class EquivalenceOverModels
-    : public ::testing::TestWithParam<std::function<Graph()>> {};
+    : public ::testing::TestWithParam<testing::NamedModel> {};
 
 TEST_P(EquivalenceOverModels, SwapAllMatchesInCore) {
-  Env env(GetParam()());
+  Env env(GetParam().make());
   auto incore = env.incore();
   auto swapped = env.iterate(Classification(env.g, ValueClass::kSwap));
   EXPECT_GT(incore->loss(), 0.0f);
@@ -97,7 +97,7 @@ TEST_P(EquivalenceOverModels, SwapAllMatchesInCore) {
 }
 
 TEST_P(EquivalenceOverModels, RecomputeAllMatchesInCore) {
-  Env env(GetParam()());
+  Env env(GetParam().make());
   Classification c(env.g, ValueClass::kRecompute);
   for (auto in : env.g.inputs()) c.set(in, ValueClass::kKeep);
   auto incore = env.incore();
@@ -106,7 +106,7 @@ TEST_P(EquivalenceOverModels, RecomputeAllMatchesInCore) {
 }
 
 TEST_P(EquivalenceOverModels, MixedClassificationMatchesInCore) {
-  Env env(GetParam()());
+  Env env(GetParam().make());
   auto incore = env.incore();
   for (int salt = 0; salt < 3; ++salt) {
     auto mixed = env.iterate(mixed_classes(env.g, salt));
@@ -116,11 +116,18 @@ TEST_P(EquivalenceOverModels, MixedClassificationMatchesInCore) {
 
 INSTANTIATE_TEST_SUITE_P(
     Models, EquivalenceOverModels,
-    ::testing::Values([] { return models::mlp(4, 12, {16, 16}, 5); },
-                      [] { return models::small_cnn(2, 16); },
-                      [] { return models::inception_toy(2, 16); },
-                      [] { return models::paper_example(2, 12, 6); },
-                      [] { return models::resnet18(1, 32, 8); }));
+    ::testing::Values(
+        testing::NamedModel{"mlp",
+                            [] { return models::mlp(4, 12, {16, 16}, 5); }},
+        testing::NamedModel{"small_cnn",
+                            [] { return models::small_cnn(2, 16); }},
+        testing::NamedModel{"inception_toy",
+                            [] { return models::inception_toy(2, 16); }},
+        testing::NamedModel{"paper_example",
+                            [] { return models::paper_example(2, 12, 6); }},
+        testing::NamedModel{"resnet18",
+                            [] { return models::resnet18(1, 32, 8); }}),
+    testing::ParamName());
 
 TEST(Equivalence, SwapInPoliciesAllProduceSameNumbers) {
   Env env(models::small_cnn(2, 16));

@@ -109,6 +109,8 @@ struct ConvCase {
   const char* name;
   int spatial_rank;
   std::int64_t batch, in_c, out_c, extent, kernel, stride, pad, groups;
+
+  friend void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.name; }
 };
 
 class ConvGradient : public ::testing::TestWithParam<ConvCase> {};
@@ -166,9 +168,7 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{"basic3d", 3, 1, 2, 3, 4, 3, 1, 1, 1},
         ConvCase{"strided3d", 3, 1, 2, 2, 5, 3, 2, 1, 1},
         ConvCase{"grouped3d", 3, 1, 4, 4, 3, 3, 1, 1, 2}),
-    [](const ::testing::TestParamInfo<ConvCase>& info) {
-      return info.param.name;
-    });
+    testing::ParamName());
 
 TEST(Conv2d, NoBiasPath) {
   ConvAttrs a = ConvAttrs::conv2d(2, 3, 1, 1, 1, /*bias=*/false);

@@ -7,6 +7,7 @@
 #include "kernels/fc.hpp"
 #include "kernels/pool.hpp"
 #include "kernels/softmax.hpp"
+#include "obs/stats.hpp"
 #include "testing_util.hpp"
 
 namespace pooch::kernels {
@@ -59,6 +60,8 @@ struct PoolCase {
   int rank;
   PoolMode mode;
   std::int64_t extent, kernel, stride, pad;
+
+  friend void PrintTo(const PoolCase& c, std::ostream* os) { *os << c.name; }
 };
 
 class PoolGradient : public ::testing::TestWithParam<PoolCase> {};
@@ -97,9 +100,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PoolCase{"avg2d_pad", 2, PoolMode::kAvg, 5, 3, 2, 1},
                       PoolCase{"max3d", 3, PoolMode::kMax, 4, 2, 2, 0},
                       PoolCase{"avg3d", 3, PoolMode::kAvg, 4, 2, 2, 0}),
-    [](const ::testing::TestParamInfo<PoolCase>& info) {
-      return info.param.name;
-    });
+    testing::ParamName());
 
 TEST(GlobalAvgPool, ForwardAndGradient) {
   Tensor x = random_tensor(Shape{2, 3, 4, 4}, 50);
@@ -413,6 +414,33 @@ TEST(Dropout, BackwardUsesSameMask) {
   // dx is zero exactly where y is zero.
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     EXPECT_EQ(dx[i] == 0.0f, y[i] == 0.0f) << "index " << i;
+  }
+}
+
+// kernel.* timers do not nest: fc runs the GEMM core itself, so its
+// time is counted once, under fc_*, and never again under matmul*.
+TEST(KernelTimers, FcDoesNotCountAsMatmul) {
+  obs::StatsRegistry stats;
+  KernelContext ctx(1);
+  ctx.stats = &stats;
+  FcAttrs attrs;
+  attrs.out_features = 5;
+  const Tensor x = random_tensor(Shape{4, 7}, 60);
+  const Tensor w = random_tensor(Shape{5, 7}, 61);
+  const Tensor b = random_tensor(Shape{5}, 62);
+  Tensor y(Shape{4, 5});
+  fc_forward(x, w, &b, y, attrs, ctx);
+  const Tensor dy = random_tensor(y.shape(), 63);
+  Tensor dx(x.shape()), dw(w.shape()), db(b.shape());
+  fc_backward(x, w, dy, &dx, dw, &db, attrs, ctx);
+
+  EXPECT_EQ(stats.counter_value("kernel.fc_forward.calls"), 1u);
+  EXPECT_EQ(stats.counter_value("kernel.fc_backward.calls"), 1u);
+  for (const char* gemm :
+       {"matmul", "matmul_acc", "matmul_at", "matmul_bt", "matmul_bt_acc"}) {
+    EXPECT_EQ(stats.counter_value(std::string("kernel.") + gemm + ".calls"),
+              0u)
+        << gemm;
   }
 }
 

@@ -4,6 +4,13 @@
 // freely while test_equivalence demands exact equality with the in-core
 // run (see docs/KERNELS.md for the argument).
 //
+// The output contract rides along: a fast kernel writes every element of
+// its outputs and reads none of their old contents, because the data
+// backend hands kernels recycled buffers. So every fast kernel here
+// writes into outputs pre-filled with quiet NaN, where a skipped or
+// accumulated-into element shows as a bit difference from the oracle
+// (whose outputs start zeroed).
+//
 // The shape corpus deliberately includes sizes off the GEMM tile grid
 // (odd m/k/n, single rows/columns), exact block boundaries, strided and
 // padded and grouped convolutions, batches that split into several
@@ -15,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -37,6 +45,13 @@ namespace pooch::kernels {
 namespace {
 
 using testing::random_tensor;
+
+/// An output buffer of unspecified content: every element a quiet NaN.
+Tensor nan_tensor(const Shape& shape) {
+  Tensor t(shape);
+  t.fill(std::numeric_limits<float>::quiet_NaN());
+  return t;
+}
 
 void expect_bits(const Tensor& got, const Tensor& want,
                  const std::string& what) {
@@ -93,7 +108,7 @@ TEST_P(KernelBitIdentity, MatmulAllVariants) {
     const Tensor bt = random_tensor(Shape{c.n, c.k}, seed++);
     const Tensor init = random_tensor(Shape{c.m, c.n}, seed++);
 
-    Tensor got(Shape{c.m, c.n});
+    Tensor got = nan_tensor(Shape{c.m, c.n});
     Tensor want(Shape{c.m, c.n});
     matmul(a.data(), b.data(), got.data(), c.m, c.k, c.n, ctx_);
     matmul_ref(a.data(), b.data(), want.data(), c.m, c.k, c.n);
@@ -105,10 +120,12 @@ TEST_P(KernelBitIdentity, MatmulAllVariants) {
     matmul_acc_ref(a.data(), b.data(), want.data(), c.m, c.k, c.n);
     expect_bits(got, want, "matmul_acc " + tag);
 
+    got = nan_tensor(Shape{c.m, c.n});
     matmul_at(at.data(), b.data(), got.data(), c.m, c.k, c.n, ctx_);
     matmul_at_ref(at.data(), b.data(), want.data(), c.m, c.k, c.n);
     expect_bits(got, want, "matmul_at " + tag);
 
+    got = nan_tensor(Shape{c.m, c.n});
     matmul_bt(a.data(), bt.data(), got.data(), c.m, c.k, c.n, ctx_);
     matmul_bt_ref(a.data(), bt.data(), want.data(), c.m, c.k, c.n);
     expect_bits(got, want, "matmul_bt " + tag);
@@ -162,6 +179,23 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
       // 2x2x2 outputs: 6 samples in one chunk.
       {"conv3d_chunked", Shape{6, 3, 4, 4, 4}, ConvAttrs::conv3d(5, 3, 2, 1),
        true},
+      // Pointwise (1x1, stride 1, unpadded): the GEMMs run on the NCHW
+      // tensors in place. 81 pixels: two chunks of 4.
+      {"pointwise", Shape{8, 16, 9, 9}, ConvAttrs::conv2d(24, 1), true},
+      // 9 pixels, batch 67: chunks of 23 + 23 + 21.
+      {"pointwise_chunked", Shape{67, 12, 3, 3},
+       ConvAttrs::conv2d(20, 1, 1, 0, 1, /*bias=*/false), true},
+      // 100 pixels: chunks of 3 + 3 + 1 samples, 300 columns each, so
+      // dW's second 256-deep k block starts inside a sample.
+      {"pointwise_wide", Shape{7, 5, 10, 10}, ConvAttrs::conv2d(6, 1), true},
+      // 4 groups over in-place operands offset by a group's channels.
+      {"pointwise_grouped", Shape{6, 8, 5, 5}, ConvAttrs::conv2d(12, 1, 1, 0, 4),
+       true},
+      // 300 input channels: the forward k chain crosses the 256-deep
+      // block and dX has 300 rows; two chunks of 12.
+      {"pointwise_deep", Shape{24, 300, 4, 4}, ConvAttrs::conv2d(40, 1), true},
+      {"pointwise_nodx", Shape{5, 6, 7, 7}, ConvAttrs::conv2d(10, 1), false},
+      {"pointwise3d", Shape{3, 4, 3, 4, 5}, ConvAttrs::conv3d(6, 1), true},
   };
   std::uint64_t seed = 500;
   for (const Case& c : cases) {
@@ -174,17 +208,17 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
     }
     const Tensor* bp = c.attrs.has_bias ? &bias : nullptr;
 
-    Tensor y(ys), y_ref(ys);
+    Tensor y = nan_tensor(ys), y_ref(ys);
     conv_forward(x, w, bp, y, c.attrs, ctx_);
     conv_forward_ref(x, w, bp, y_ref, c.attrs);
     expect_bits(y, y_ref, std::string("conv_forward ") + c.name);
 
     const Tensor dy = random_tensor(ys, seed++);
-    Tensor dx(c.xs), dx_ref(c.xs);
-    Tensor dw(w.shape()), dw_ref(w.shape());
+    Tensor dx = nan_tensor(c.xs), dx_ref(c.xs);
+    Tensor dw = nan_tensor(w.shape()), dw_ref(w.shape());
     Tensor dbias, dbias_ref;
     if (c.attrs.has_bias) {
-      dbias = Tensor(Shape{c.attrs.out_channels});
+      dbias = nan_tensor(Shape{c.attrs.out_channels});
       dbias_ref = Tensor(Shape{c.attrs.out_channels});
     }
     conv_backward(x, w, dy, c.want_dx ? &dx : nullptr, dw,
@@ -220,17 +254,17 @@ TEST_P(KernelBitIdentity, FullyConnected) {
     if (c.bias) bias = random_tensor(Shape{c.out}, seed++);
     const Tensor* bp = c.bias ? &bias : nullptr;
 
-    Tensor y(Shape{c.batch, c.out}), y_ref(Shape{c.batch, c.out});
+    Tensor y = nan_tensor(Shape{c.batch, c.out}), y_ref(Shape{c.batch, c.out});
     fc_forward(x, w, bp, y, attrs, ctx_);
     fc_forward_ref(x, w, bp, y_ref, attrs);
     expect_bits(y, y_ref, tag + " forward");
 
     const Tensor dy = random_tensor(Shape{c.batch, c.out}, seed++);
-    Tensor dx(x.shape()), dx_ref(x.shape());
-    Tensor dw(w.shape()), dw_ref(w.shape());
+    Tensor dx = nan_tensor(x.shape()), dx_ref(x.shape());
+    Tensor dw = nan_tensor(w.shape()), dw_ref(w.shape());
     Tensor dbias, dbias_ref;
     if (c.bias) {
-      dbias = Tensor(Shape{c.out});
+      dbias = nan_tensor(Shape{c.out});
       dbias_ref = Tensor(Shape{c.out});
     }
     fc_backward(x, w, dy, c.want_dx ? &dx : nullptr, dw,
@@ -253,15 +287,15 @@ TEST_P(KernelBitIdentity, BatchNorm) {
     const Tensor x = random_tensor(xs, seed++);
     const Tensor gamma = random_tensor(Shape{channels}, seed++, 0.5f, 1.5f);
     const Tensor beta = random_tensor(Shape{channels}, seed++);
-    Tensor y(xs), y_ref(xs);
+    Tensor y = nan_tensor(xs), y_ref(xs);
     batchnorm_forward(x, gamma, beta, y, attrs, ctx_);
     batchnorm_forward_ref(x, gamma, beta, y_ref, attrs);
     expect_bits(y, y_ref, "batchnorm forward");
 
     const Tensor dy = random_tensor(xs, seed++);
-    Tensor dx(xs), dx_ref(xs);
-    Tensor dgamma(Shape{channels}), dgamma_ref(Shape{channels});
-    Tensor dbeta(Shape{channels}), dbeta_ref(Shape{channels});
+    Tensor dx = nan_tensor(xs), dx_ref(xs);
+    Tensor dgamma = nan_tensor(Shape{channels}), dgamma_ref(Shape{channels});
+    Tensor dbeta = nan_tensor(Shape{channels}), dbeta_ref(Shape{channels});
     batchnorm_backward(x, gamma, dy, &dx, dgamma, dbeta, attrs, ctx_);
     batchnorm_backward_ref(x, gamma, dy, &dx_ref, dgamma_ref, dbeta_ref,
                            attrs);
@@ -286,13 +320,13 @@ TEST_P(KernelBitIdentity, Pooling) {
   for (const Case& c : cases) {
     const Tensor x = random_tensor(c.xs, seed++);
     const Shape ys = pool_output_shape(c.xs, c.attrs);
-    Tensor y(ys), y_ref(ys);
+    Tensor y = nan_tensor(ys), y_ref(ys);
     pool_forward(x, y, c.attrs, ctx_);
     pool_forward_ref(x, y_ref, c.attrs);
     expect_bits(y, y_ref, std::string("pool forward ") + c.name);
 
     const Tensor dy = random_tensor(ys, seed++);
-    Tensor dx(c.xs), dx_ref(c.xs);
+    Tensor dx = nan_tensor(c.xs), dx_ref(c.xs);
     pool_backward(x, dy, dx, c.attrs, ctx_);
     pool_backward_ref(x, dy, dx_ref, c.attrs);
     expect_bits(dx, dx_ref, std::string("pool backward ") + c.name);
@@ -300,13 +334,13 @@ TEST_P(KernelBitIdentity, Pooling) {
 
   const Shape gs{3, 4, 5, 7};
   const Tensor x = random_tensor(gs, seed++);
-  Tensor y(global_avg_pool_output_shape(gs));
+  Tensor y = nan_tensor(global_avg_pool_output_shape(gs));
   Tensor y_ref(global_avg_pool_output_shape(gs));
   global_avg_pool_forward(x, y, ctx_);
   global_avg_pool_forward_ref(x, y_ref);
   expect_bits(y, y_ref, "global_avg_pool forward");
   const Tensor dy = random_tensor(y.shape(), seed++);
-  Tensor dx(gs), dx_ref(gs);
+  Tensor dx = nan_tensor(gs), dx_ref(gs);
   global_avg_pool_backward(gs, dy, dx, ctx_);
   global_avg_pool_backward_ref(gs, dy, dx_ref);
   expect_bits(dx, dx_ref, "global_avg_pool backward");
@@ -318,12 +352,12 @@ TEST_P(KernelBitIdentity, EltwiseActivationsDropoutSoftmax) {
   std::uint64_t seed = 2100;
   {
     const Tensor x = random_tensor(flat, seed++);
-    Tensor y(flat), y_ref(flat);
+    Tensor y = nan_tensor(flat), y_ref(flat);
     relu_forward(x, y, ctx_);
     relu_forward_ref(x, y_ref);
     expect_bits(y, y_ref, "relu forward");
     const Tensor dy = random_tensor(flat, seed++);
-    Tensor dx(flat), dx_ref(flat);
+    Tensor dx = nan_tensor(flat), dx_ref(flat);
     relu_backward(y, dy, dx, ctx_);
     relu_backward_ref(y_ref, dy, dx_ref);
     expect_bits(dx, dx_ref, "relu backward");
@@ -331,11 +365,12 @@ TEST_P(KernelBitIdentity, EltwiseActivationsDropoutSoftmax) {
   {
     const Tensor a = random_tensor(flat, seed++);
     const Tensor b = random_tensor(flat, seed++);
-    Tensor y(flat), y_ref(flat);
+    Tensor y = nan_tensor(flat), y_ref(flat);
     add_forward(a, b, y, ctx_);
     add_forward_ref(a, b, y_ref);
     expect_bits(y, y_ref, "add forward");
-    Tensor da(flat), db(flat), da_ref(flat), db_ref(flat);
+    Tensor da = nan_tensor(flat), db = nan_tensor(flat), da_ref(flat),
+           db_ref(flat);
     add_backward(y, da, db, ctx_);
     add_backward_ref(y_ref, da_ref, db_ref);
     expect_bits(da, da_ref, "add backward da");
@@ -346,12 +381,12 @@ TEST_P(KernelBitIdentity, EltwiseActivationsDropoutSoftmax) {
     attrs.rate = 0.3f;
     attrs.key = 77;
     const Tensor x = random_tensor(flat, seed++);
-    Tensor y(flat), y_ref(flat);
+    Tensor y = nan_tensor(flat), y_ref(flat);
     dropout_forward(x, y, attrs, /*iteration=*/5, ctx_);
     dropout_forward_ref(x, y_ref, attrs, /*iteration=*/5);
     expect_bits(y, y_ref, "dropout forward");
     const Tensor dy = random_tensor(flat, seed++);
-    Tensor dx(flat), dx_ref(flat);
+    Tensor dx = nan_tensor(flat), dx_ref(flat);
     dropout_backward(dy, dx, attrs, /*iteration=*/5, ctx_);
     dropout_backward_ref(dy, dx_ref, attrs, /*iteration=*/5);
     expect_bits(dx, dx_ref, "dropout backward");
@@ -361,13 +396,13 @@ TEST_P(KernelBitIdentity, EltwiseActivationsDropoutSoftmax) {
     const Tensor logits = random_tensor(ls, seed++, -4.0f, 4.0f);
     std::vector<std::int64_t> labels;
     for (std::int64_t n = 0; n < ls[0]; ++n) labels.push_back(n % ls[1]);
-    Tensor loss(Shape{1}), loss_ref(Shape{1});
+    Tensor loss = nan_tensor(Shape{1}), loss_ref(Shape{1});
     softmax_xent_forward(logits, labels, loss, ctx_);
     softmax_xent_forward_ref(logits, labels, loss_ref);
     expect_bits(loss, loss_ref, "softmax loss");
     Tensor dloss(Shape{1});
     dloss[0] = 1.0f;
-    Tensor dlogits(ls), dlogits_ref(ls);
+    Tensor dlogits = nan_tensor(ls), dlogits_ref(ls);
     softmax_xent_backward(logits, labels, dloss, dlogits, ctx_);
     softmax_xent_backward_ref(logits, labels, dloss, dlogits_ref);
     expect_bits(dlogits, dlogits_ref, "softmax dlogits");
@@ -383,13 +418,14 @@ TEST_P(KernelBitIdentity, ConcatFlattenMatchSerial) {
   const Tensor b = random_tensor(Shape{2, 5, 4, 4}, seed++);
   const std::vector<const Tensor*> inputs{&a, &b};
   const Shape ys = concat_output_shape(inputs);
-  Tensor y(ys), y_ref(ys);
+  Tensor y = nan_tensor(ys), y_ref(ys);
   concat_forward(inputs, y, ctx_);
   concat_forward(inputs, y_ref, serial);
   expect_bits(y, y_ref, "concat forward");
 
   const Tensor dy = random_tensor(ys, seed++);
-  Tensor da(a.shape()), db(b.shape()), da_ref(a.shape()), db_ref(b.shape());
+  Tensor da = nan_tensor(a.shape()), db = nan_tensor(b.shape());
+  Tensor da_ref(a.shape()), db_ref(b.shape());
   std::vector<Tensor*> douts{&da, &db};
   std::vector<Tensor*> douts_ref{&da_ref, &db_ref};
   concat_backward(dy, douts, ctx_);
@@ -399,12 +435,12 @@ TEST_P(KernelBitIdentity, ConcatFlattenMatchSerial) {
 
   const Shape xs{4, 3, 5, 5};
   const Tensor x = random_tensor(xs, seed++);
-  Tensor f(Shape{4, 75}), f_ref(Shape{4, 75});
+  Tensor f = nan_tensor(Shape{4, 75}), f_ref(Shape{4, 75});
   flatten_forward(x, f, ctx_);
   flatten_forward(x, f_ref, serial);
   expect_bits(f, f_ref, "flatten forward");
   const Tensor df = random_tensor(f.shape(), seed++);
-  Tensor dx(xs), dx_ref(xs);
+  Tensor dx = nan_tensor(xs), dx_ref(xs);
   flatten_backward(xs, df, dx, ctx_);
   flatten_backward(xs, df, dx_ref, serial);
   expect_bits(dx, dx_ref, "flatten backward");

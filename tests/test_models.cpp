@@ -5,6 +5,7 @@
 #include "graph/liveness.hpp"
 #include "models/models.hpp"
 #include "sim/plan.hpp"
+#include "testing_util.hpp"
 
 namespace pooch::models {
 namespace {
@@ -192,10 +193,10 @@ TEST(PaperExample, EightLayerChain) {
 }
 
 class ModelValidation
-    : public ::testing::TestWithParam<std::function<graph::Graph()>> {};
+    : public ::testing::TestWithParam<testing::NamedModel> {};
 
 TEST_P(ModelValidation, GraphInvariantsHold) {
-  const auto g = GetParam()();
+  const auto g = GetParam().make();
   g.validate();
   EXPECT_GT(g.num_nodes(), 0);
   EXPECT_EQ(g.value(g.output()).shape, (Shape{1}));  // all end in a loss
@@ -207,15 +208,19 @@ TEST_P(ModelValidation, GraphInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Zoo, ModelValidation,
-    ::testing::Values([] { return mlp(2, 8, {16}, 4); },
-                      [] { return small_cnn(2); },
-                      [] { return alexnet(2); },
-                      [] { return vgg16(1, 32); },
-                      [] { return resnet18(1, 64); },
-                      [] { return resnet50(1, 64); },
-                      [] { return resnext101_3d(1, 4, 32); },
-                      [] { return inception_toy(1); },
-                      [] { return paper_example(2, 16, 8); }));
+    ::testing::Values(
+        testing::NamedModel{"mlp", [] { return mlp(2, 8, {16}, 4); }},
+        testing::NamedModel{"small_cnn", [] { return small_cnn(2); }},
+        testing::NamedModel{"alexnet", [] { return alexnet(2); }},
+        testing::NamedModel{"vgg16", [] { return vgg16(1, 32); }},
+        testing::NamedModel{"resnet18", [] { return resnet18(1, 64); }},
+        testing::NamedModel{"resnet50", [] { return resnet50(1, 64); }},
+        testing::NamedModel{"resnext101_3d",
+                            [] { return resnext101_3d(1, 4, 32); }},
+        testing::NamedModel{"inception_toy", [] { return inception_toy(1); }},
+        testing::NamedModel{"paper_example",
+                            [] { return paper_example(2, 16, 8); }}),
+    testing::ParamName());
 
 }  // namespace
 }  // namespace pooch::models

@@ -72,16 +72,20 @@ TEST(Tensor, Index4And5) {
   EXPECT_EQ(t5.index5(1, 1, 1, 1, 1), 31);
 }
 
-TEST(Tensor, ReleaseAndMaterialize) {
+TEST(Tensor, TakeStorageKeepsShapeAndStorageMovesIntact) {
   Tensor t(Shape{8});
   t.fill(1.0f);
   EXPECT_TRUE(t.materialized());
-  t.release();
+  Tensor::Storage s = t.take_storage();
   EXPECT_TRUE(t.empty());
   EXPECT_FALSE(t.materialized());
-  t.materialize();
-  EXPECT_TRUE(t.materialized());
-  EXPECT_EQ(t[3], 0.0f);  // rematerialized contents are zero
+  EXPECT_EQ(t.shape(), (Shape{8}));
+  ASSERT_EQ(s.size(), 8u);
+  s[3] = 2.0f;
+  const Tensor u(Shape{2, 4}, std::move(s));  // adopted as is, no zero fill
+  EXPECT_EQ(u[0], 1.0f);
+  EXPECT_EQ(u[3], 2.0f);
+  EXPECT_THROW(Tensor(Shape{3}, Tensor::Storage(2)), Error);
 }
 
 TEST(Tensor, AtBoundsChecked) {

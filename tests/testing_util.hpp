@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -139,5 +140,26 @@ inline graph::Graph random_graph(std::uint64_t seed) {
   g.validate();
   return g;
 }
+
+/// A model factory with a name, as a value-parameterized test's
+/// parameter: gtest prints it (and ctest names the test) by that name
+/// rather than by the factory's bytes, which differ between builds.
+struct NamedModel {
+  const char* name;
+  std::function<graph::Graph()> make;
+
+  friend void PrintTo(const NamedModel& m, std::ostream* os) {
+    *os << m.name;
+  }
+};
+
+/// Name generator for INSTANTIATE_TEST_SUITE_P over any parameter with a
+/// `name` member.
+struct ParamName {
+  template <typename P>
+  std::string operator()(const ::testing::TestParamInfo<P>& info) const {
+    return info.param.name;
+  }
+};
 
 }  // namespace pooch::testing

@@ -92,7 +92,8 @@ void usage() {
       "  --link-gbps B   override interconnect bandwidth\n"
       "  --method M      incore | swap-all | swap-all-naive | swap-opt |\n"
       "                  superneurons | vdnn | sublinear | pooch | exec |\n"
-      "                  all\n"
+      "                  all. Exit status 1 when a method runs out of\n"
+      "                  device memory or finds no feasible plan\n"
       "  --threads N     parallelize the planner's classification search\n"
       "                  over N threads (0 = one per core, default 1);\n"
       "                  the chosen plan is identical at any setting\n"
@@ -335,6 +336,7 @@ void run_async_exec(Context& ctx, const char* name,
     stream = planner::record_op_stream(*ctx.runtime, classes, ro);
   } catch (const Error& e) {
     std::printf("%-16s async exec: export infeasible (%s)\n", "", e.what());
+    ctx.exit_status = 1;
     return;
   }
   sim::DataBackend data(ctx.g, kDataSeed);
@@ -345,6 +347,7 @@ void run_async_exec(Context& ctx, const char* name,
   ao.time_model = ctx.hardware.get();
   ao.stats = ctx.o.show_stats ? &obs::StatsRegistry::global() : nullptr;
   const exec::AsyncResult res = executor.run(data, ao);
+  if (ao.stats) data.publish_memory(*ao.stats);
   if (!res.ok) {
     std::fprintf(stderr, "%s: async execution FAILED: %s\n", name,
                  res.failure.c_str());
@@ -396,8 +399,10 @@ bool report(Context& ctx, const char* name, const sim::RunResult& r,
             const sim::Classification* classes = nullptr,
             const sim::RunOptions* run_opts = nullptr) {
   if (!r.ok) {
+    // An OOM is a result of the simulation, and still a failed command.
     std::printf("%-16s OOM\n", name);
     if (ctx.o.timeline) std::printf("%s\n", r.failure.c_str());
+    ctx.exit_status = 1;
     return false;
   }
   std::printf("%-16s %9.1f items/s   iteration %-10s peak %7s   "
@@ -455,6 +460,7 @@ void verify_kernel_run(Context& ctx, const sim::DataBackend& data) {
               same ? "bit-identical to serial in-core reference"
                    : "MISMATCH vs serial in-core reference");
   if (!same) ctx.exit_status = 1;
+  if (ctx.o.show_stats) data.publish_memory(obs::StatsRegistry::global());
 }
 
 /// --measured-profile: the full calibration loop (docs/PROFILING.md).
@@ -583,6 +589,7 @@ void run_method(Context& ctx, const std::string& method) {
     const auto plan = planner.plan_keep_swap_only();
     if (!plan.feasible) {
       std::printf("%-16s infeasible\n", "swap-opt");
+      ctx.exit_status = 1;
       return;
     }
     ran = report(ctx, "swap-opt", planner::execute_plan(*ctx.runtime, plan, ro),
@@ -609,6 +616,7 @@ void run_method(Context& ctx, const std::string& method) {
     if (!out.ok) {
       std::printf("%-16s %s\n", "pooch",
                   out.plan.feasible ? "execution failed" : "infeasible");
+      ctx.exit_status = 1;
       return;
     }
     // The pipeline's own execution ran without our backend and timeline,
@@ -639,12 +647,9 @@ void run_method(Context& ctx, const std::string& method) {
     const auto classes = sim::Classification::deserialize(ctx.g, text);
     ran = report(ctx, "exec(saved)", ctx.runtime->run(classes, ro), nullptr,
                  &classes);
-    // A saved plan is a request to run exactly that classification: if it
-    // cannot run on this workload, the command failed.
     if (!ran) {
       std::fprintf(stderr, "saved plan %s ran out of device memory\n",
                    ctx.o.load_plan.c_str());
-      ctx.exit_status = 1;
     }
   } else {
     throw Error("unknown method: " + method);  // parse_args rejects these
